@@ -31,7 +31,6 @@ namespace {
 TriggerManagerOptions DurableIngestOptions() {
   TriggerManagerOptions opts;
   opts.durable_wal = true;
-  opts.persistent_queue = true;
   opts.wal_checkpoint_bytes = 1 << 20;
   return opts;
 }

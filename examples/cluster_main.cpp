@@ -87,8 +87,7 @@ int RunNode(const std::string& name, uint16_t port, uint32_t partitions,
             uint32_t vnodes, uint32_t drivers) {
   Database db;
   TriggerManagerOptions tmo;
-  tmo.durable_wal = true;
-  tmo.persistent_queue = true;
+  tmo.durable_wal = true;  // a member ack is a durability receipt
   tmo.driver_config.num_cpus = drivers;
   TriggerManager tman(&db, tmo);
   if (auto s = tman.Open(); !s.ok()) {

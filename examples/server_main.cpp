@@ -5,8 +5,9 @@
 //
 //   server_main [--port N] [--drivers N] [--queue-depth N] [--memory]
 //
-// --memory switches update staging from the persistent queue table to
-// main-memory delivery (faster, no recovery safety; see ROADMAP).
+// --memory switches update staging from the durable write-ahead log (an
+// ack is a durability receipt; Open() replays what a crash left
+// unprocessed) to main-memory delivery (faster, no recovery safety).
 // Runs until stdin closes or a "quit" line arrives.
 
 #include <cstdio>
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   uint16_t port = 7447;
   uint32_t drivers = 2;
   uint32_t queue_depth = 4096;
-  bool persistent = true;
+  bool durable = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
       port = static_cast<uint16_t>(std::atoi(argv[++i]));
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--queue-depth") == 0 && i + 1 < argc) {
       queue_depth = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--memory") == 0) {
-      persistent = false;
+      durable = false;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--port N] [--drivers N] [--queue-depth N] "
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
 
   Database db;
   TriggerManagerOptions tmo;
-  tmo.persistent_queue = persistent;
+  tmo.persistent_queue = durable;
   tmo.driver_config.num_cpus = drivers;
   TriggerManager tman(&db, tmo);
   if (auto s = tman.Open(); !s.ok()) {
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   }
   std::printf("TriggerMan server listening on port %u (%s staging, %u "
               "drivers, queue depth %u). 'quit' to stop.\n",
-              bound, persistent ? "persistent" : "memory", drivers,
+              bound, durable ? "durable" : "memory", drivers,
               queue_depth);
   std::fflush(stdout);
 

@@ -13,7 +13,6 @@ namespace tman {
 namespace {
 
 constexpr char kMetaTable[] = "tman_meta";
-constexpr char kQueueMetaKey[] = "update_queue_meta_page";
 constexpr char kWalMetaKey[] = "wal_header_page";
 constexpr char kDefaultSetName[] = "default";
 
@@ -41,6 +40,9 @@ Status WalDecodeError() {
 
 TriggerManager::TriggerManager(Database* db, TriggerManagerOptions options)
     : db_(db), options_(options) {
+  // Two staging modes: memory, or durable (the WAL is the persistent
+  // update queue). Either flag selects durable.
+  options_.durable_wal = options.durable_wal || options.persistent_queue;
   catalog_ = std::make_unique<TriggerCatalog>(db_);
   pindex_ = std::make_unique<PredicateIndex>(db_, options_.org_policy);
   cache_ = std::make_unique<TriggerCache>(
@@ -70,35 +72,6 @@ Status TriggerManager::Open() {
         default_ts_id_,
         catalog_->CreateTriggerSet(kDefaultSetName, "default trigger set"));
   }
-
-  // Persistent update queue: its metadata page id is remembered in a tiny
-  // meta table so staged updates survive a reopen.
-  if (!db_->HasTable(kMetaTable)) {
-    TMAN_RETURN_IF_ERROR(
-        db_->CreateTable(kMetaTable, Schema({{"meta_key", DataType::kVarchar},
-                                             {"meta_value", DataType::kInt}}))
-            .status());
-  }
-  std::optional<PageId> queue_meta;
-  TMAN_RETURN_IF_ERROR(db_->Scan(kMetaTable, [&](const Rid&, const Tuple& t) {
-    if (t.at(0).as_string() == kQueueMetaKey) {
-      queue_meta = static_cast<PageId>(t.at(1).as_int());
-      return false;
-    }
-    return true;
-  }));
-  if (!queue_meta.has_value()) {
-    TMAN_ASSIGN_OR_RETURN(PageId page,
-                          TableQueue::Create(db_->buffer_pool()));
-    TMAN_RETURN_IF_ERROR(
-        db_->Insert(kMetaTable,
-                    Tuple({Value::String(kQueueMetaKey),
-                           Value::Int(static_cast<int64_t>(page))}))
-            .status());
-    queue_meta = page;
-  }
-  update_queue_ =
-      std::make_unique<TableQueue>(db_->buffer_pool(), *queue_meta);
 
   // Restore cataloged data sources (the registry definitions survive in
   // the tman_data_source table), then catalog any sources the caller
@@ -152,8 +125,16 @@ Status TriggerManager::Open() {
 
   // Durable ingestion: open (or create) the write-ahead log and replay
   // whatever a previous incarnation left behind. This runs last so the
-  // predicate index and sources are ready for the re-staged tokens.
+  // predicate index and sources are ready for the re-staged tokens. The
+  // WAL header page id is remembered in a tiny meta table.
   if (options_.durable_wal) {
+    if (!db_->HasTable(kMetaTable)) {
+      TMAN_RETURN_IF_ERROR(
+          db_->CreateTable(kMetaTable,
+                           Schema({{"meta_key", DataType::kVarchar},
+                                   {"meta_value", DataType::kInt}}))
+              .status());
+    }
     std::optional<PageId> wal_meta;
     TMAN_RETURN_IF_ERROR(
         db_->Scan(kMetaTable, [&](const Rid&, const Tuple& t) {
@@ -644,29 +625,6 @@ Result<std::string> TriggerManager::ExecuteScript(std::string_view text) {
 // Token pipeline (§5.4 + §6)
 // ---------------------------------------------------------------------------
 
-Task TriggerManager::MakePumpTask() {
-  // One pump task per staged descriptor: consumes the head of the
-  // persistent queue on whichever driver runs first.
-  Task task;
-  task.kind = TaskKind::kProcessToken;
-  task.work = [this]() -> Status {
-    auto record = update_queue_->Dequeue();
-    if (!record.ok()) {
-      // NotFound just means another pump task drained our descriptor.
-      // Anything else (I/O error, CRC corruption) must surface, not be
-      // mistaken for an empty queue.
-      if (record.status().IsNotFound()) return Status::OK();
-      TMAN_LOG(kWarn) << "staged queue dequeue failed: "
-                      << record.status().ToString();
-      return record.status();
-    }
-    TMAN_ASSIGN_OR_RETURN(UpdateDescriptor t,
-                          UpdateDescriptor::Deserialize(*record));
-    return EnqueueTokenTasks(t);
-  };
-  return task;
-}
-
 Status TriggerManager::SubmitUpdate(const UpdateDescriptor& token) {
   StageTimer ingest_timer(&stage_metrics_, Stage::kIngest, 1);
   if (wal_ != nullptr) {
@@ -676,14 +634,14 @@ Status TriggerManager::SubmitUpdate(const UpdateDescriptor& token) {
     return SubmitDurableBatch({token}, nullptr, nullptr);
   }
   updates_submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.persistent_queue && update_queue_ != nullptr) {
-    std::string record;
-    token.Serialize(&record);
-    TMAN_RETURN_IF_ERROR(update_queue_->Enqueue(record));
-    task_queue_.Push(MakePumpTask());
-    return Status::OK();
+  std::vector<Task> tasks;
+  AppendTokenTasks(token, &tasks);
+  if (tasks.size() == 1) {
+    task_queue_.Push(std::move(tasks.front()));
+  } else {
+    task_queue_.PushBatch(std::move(tasks));
   }
-  return EnqueueTokenTasks(token);
+  return Status::OK();
 }
 
 Status TriggerManager::SubmitUpdateBatch(
@@ -692,33 +650,14 @@ Status TriggerManager::SubmitUpdateBatch(
   StageTimer ingest_timer(&stage_metrics_, Stage::kIngest, tokens.size());
   if (wal_ != nullptr) return SubmitDurableBatch(tokens, per_update, stamp);
   updates_submitted_.fetch_add(tokens.size(), std::memory_order_relaxed);
-  Status first_error = Status::OK();
+  // Memory mode: the batch is chunked into columnar token-batch tasks so
+  // the whole group rides the batched pipeline end-to-end, and lands
+  // under one shard lock with one wakeup pass.
   std::vector<Task> tasks;
-  tasks.reserve(tokens.size());
-  const bool persistent =
-      options_.persistent_queue && update_queue_ != nullptr;
-  if (!persistent) {
-    // Memory mode: the batch is chunked into columnar token-batch tasks
-    // so the whole group rides the batched pipeline end-to-end.
-    AppendTokenBatchTasks(tokens, &tasks);
-    if (per_update != nullptr) {
-      per_update->assign(tokens.size(), Status::OK());
-    }
-    task_queue_.PushBatch(std::move(tasks));
-    return first_error;
-  }
-  for (const UpdateDescriptor& token : tokens) {
-    std::string record;
-    token.Serialize(&record);
-    Status s = update_queue_->Enqueue(record);
-    if (s.ok()) tasks.push_back(MakePumpTask());
-    if (!s.ok() && first_error.ok()) first_error = s;
-    if (per_update != nullptr) per_update->push_back(std::move(s));
-  }
-  // The whole batch lands under one shard lock with one wakeup pass —
-  // this is the point of the exercise.
+  AppendTokenBatchTasks(tokens, &tasks);
+  if (per_update != nullptr) per_update->assign(tokens.size(), Status::OK());
   task_queue_.PushBatch(std::move(tasks));
-  return first_error;
+  return Status::OK();
 }
 
 void TriggerManager::AppendTokenTasks(const UpdateDescriptor& token,
@@ -771,18 +710,6 @@ void TriggerManager::AppendTokenBatchTasks(
       out->push_back(std::move(task));
     }
   }
-}
-
-Status TriggerManager::EnqueueTokenTasks(const UpdateDescriptor& token) {
-  // Called from a pump task or from SubmitUpdate (memory mode).
-  std::vector<Task> tasks;
-  AppendTokenTasks(token, &tasks);
-  if (tasks.size() == 1) {
-    task_queue_.Push(std::move(tasks.front()));
-  } else {
-    task_queue_.PushBatch(std::move(tasks));
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -867,31 +794,15 @@ Status TriggerManager::SubmitDurableBatch(
     if (--wal_commits_in_flight_ == 0) wal_inflight_cv_.notify_all();
   }
 
-  // Stage processing. Durability is already settled, so a staging-queue
-  // hiccup downgrades to direct in-memory tasks rather than failing the
-  // batch — the token is in the log either way.
+  // Stage processing: one task per (token, partition), each reporting
+  // back to the WAL bookkeeping when it completes.
   std::vector<Task> tasks;
   tasks.reserve(tokens.size());
-  const bool persistent =
-      options_.persistent_queue && update_queue_ != nullptr;
   for (size_t i = 0; i < tokens.size(); ++i) {
-    bool staged = false;
-    if (persistent) {
-      std::string wrapped;
-      PutU64(&wrapped, batch_id);
-      PutU32(&wrapped, static_cast<uint32_t>(i));
-      tokens[i].Serialize(&wrapped);
-      if (update_queue_->Enqueue(wrapped).ok()) {
-        tasks.push_back(MakeWalPumpTask());
-        staged = true;
-      }
-    }
-    if (!staged) {
-      AppendWalTokenTasks(tokens[i], batch_id, static_cast<uint32_t>(i),
-                          &tasks);
-    }
-    if (per_update != nullptr) per_update->push_back(Status::OK());
+    AppendWalTokenTasks(tokens[i], batch_id, static_cast<uint32_t>(i),
+                        &tasks);
   }
+  if (per_update != nullptr) per_update->assign(tokens.size(), Status::OK());
   task_queue_.PushBatch(std::move(tasks));
   MaybeCheckpointWal();
   return Status::OK();
@@ -922,47 +833,6 @@ void TriggerManager::AppendWalTokenTasks(const UpdateDescriptor& token,
     };
     out->push_back(std::move(task));
   }
-}
-
-Task TriggerManager::MakeWalPumpTask() {
-  Task task;
-  task.kind = TaskKind::kProcessToken;
-  task.work = [this]() -> Status {
-    auto record = update_queue_->Dequeue();
-    if (!record.ok()) {
-      // Only NotFound means "already consumed by another pump task". A
-      // real dequeue failure leaves the token in wal_pending_ until the
-      // next recovery replays it; surface the error instead of silently
-      // swallowing it so driver stats and tests see the stall.
-      if (record.status().IsNotFound()) return Status::OK();
-      TMAN_LOG(kWarn) << "wal-staged queue dequeue failed: "
-                      << record.status().ToString();
-      return record.status();
-    }
-    size_t pos = 0;
-    uint64_t batch_id = 0;
-    uint32_t index = 0;
-    if (!GetU64(*record, &pos, &batch_id) ||
-        !GetU32(*record, &pos, &index)) {
-      return Status::Corruption("wal-staged queue record too short");
-    }
-    TMAN_ASSIGN_OR_RETURN(
-        UpdateDescriptor t,
-        UpdateDescriptor::Deserialize(
-            std::string_view(*record).substr(pos)));
-    std::vector<Task> tasks;
-    AppendWalTokenTasks(t, batch_id, index, &tasks);
-    // One explicit-shard batch push per staged record: recovery replay
-    // runs many pump tasks back to back, and pushing their token tasks
-    // one by one would serialize every pump on its home-shard lock.
-    // Spreading by batch id also scatters a large replay across shards
-    // instead of piling it onto the pumping thread's shard.
-    task_queue_.PushBatchToShard(
-        static_cast<uint32_t>(batch_id % task_queue_.num_shards()),
-        std::move(tasks));
-    return Status::OK();
-  };
-  return task;
 }
 
 void TriggerManager::MarkWalProcessed(uint64_t batch_id, uint32_t index) {
@@ -997,7 +867,7 @@ void TriggerManager::MaybeCheckpointWal() {
 
 Status TriggerManager::CheckpointWal() {
   if (wal_ == nullptr) {
-    return Status::NotSupported("durable_wal is not enabled");
+    return Status::NotSupported("durable staging is not enabled");
   }
   bool expected = false;
   if (!wal_checkpointing_.compare_exchange_strong(expected, true)) {
@@ -1222,21 +1092,6 @@ Status TriggerManager::RecoverFromWal() {
     return Status::Corruption("wal: unknown record type");
   }));
 
-  // The WAL is authoritative over the persistent staging queue: whatever
-  // the queue still holds duplicates un-marked tokens the replay below
-  // re-stages, so repair a torn tail and drain it.
-  if (options_.persistent_queue && update_queue_ != nullptr) {
-    auto torn = update_queue_->RecoverTorn();
-    if (!torn.ok()) return torn.status();
-    for (;;) {
-      auto record = update_queue_->Dequeue();
-      if (!record.ok()) {
-        if (record.status().IsNotFound()) break;
-        return record.status();
-      }
-    }
-  }
-
   // Install the recovered state and re-stage every surviving token.
   const uint32_t parts = std::max(1u, options_.condition_partitions);
   std::vector<Task> tasks;
@@ -1332,7 +1187,7 @@ bool TriggerManager::IsWalTokenFenced(uint64_t batch_id,
 
 Status TriggerManager::SetDurableMeta(std::string_view blob) {
   if (wal_ == nullptr) {
-    return Status::NotSupported("durable_wal is not enabled");
+    return Status::NotSupported("durable staging is not enabled");
   }
   uint64_t lsn = 0;
   {

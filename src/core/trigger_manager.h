@@ -26,7 +26,6 @@
 #include "runtime/driver.h"
 #include "runtime/stage_metrics.h"
 #include "runtime/task_queue.h"
-#include "storage/table_queue.h"
 #include "storage/wal.h"
 
 namespace tman {
@@ -46,9 +45,10 @@ struct TriggerManagerOptions {
   /// A-TREAT construction policy.
   ATreatOptions network_options;
 
-  /// Stage update descriptors through the persistent queue table (§3:
-  /// "the safety of persistent update queuing"); false = main-memory
-  /// delivery ("faster, but the safety ... will be lost").
+  /// §3's "persistent update queuing": stage update descriptors durably
+  /// in the write-ahead log before acknowledging them. Either this or
+  /// durable_wal selects the durable mode; with both false, updates go by
+  /// main-memory delivery ("faster, but the safety ... will be lost").
   bool persistent_queue = true;
 
   /// Condition-level concurrency (Figure 5): fan each token into this
@@ -68,8 +68,8 @@ struct TriggerManagerOptions {
 
   /// Durable ingestion: log every submitted batch to a write-ahead log
   /// and group-commit it before acknowledging, so acked-but-unprocessed
-  /// tokens survive a crash and are replayed by Open(). Implies the WAL
-  /// is authoritative over the persistent staging queue on recovery.
+  /// tokens survive a crash and are replayed by Open(). Selects the same
+  /// durable mode as persistent_queue.
   bool durable_wal = false;
 
   /// Checkpoint the WAL (snapshot live state, truncate the dead prefix)
@@ -117,7 +117,7 @@ struct TriggerManagerStats {
   ActionStats actions;
   TriggerCacheStats cache;
   PredicateIndexStats predicates;
-  WalStats wal;                      // zeroes when durable_wal is off
+  WalStats wal;                      // zeroes in memory mode
   uint64_t wal_pending_tokens = 0;   // durable tokens not yet processed
   /// Live per-stage latency/throughput + queue depth (tentpole part a).
   StageMetricsSnapshot stages;
@@ -129,7 +129,7 @@ struct TriggerManagerStats {
 };
 
 /// TriggerMan: the asynchronous trigger processor. Owns the predicate
-/// index, trigger cache, catalogs, update queue, task queue and driver
+/// index, trigger cache, catalogs, update log (WAL), task queue and driver
 /// pool; exposes the command language plus programmatic APIs.
 ///
 /// Typical use:
@@ -151,8 +151,9 @@ class TriggerManager {
   TriggerManager(const TriggerManager&) = delete;
   TriggerManager& operator=(const TriggerManager&) = delete;
 
-  /// Opens catalogs and queues, and reloads previously created triggers
-  /// from the catalog (rebuilding the predicate index).
+  /// Opens catalogs, reloads previously created triggers from the
+  /// catalog (rebuilding the predicate index) and, in durable mode, opens
+  /// the WAL and re-stages whatever it still holds unprocessed.
   Status Open();
 
   // --- command language ---------------------------------------------------
@@ -186,7 +187,7 @@ class TriggerManager {
   // --- update ingestion & processing -----------------------------------------
 
   /// Data source API entry: stages an update descriptor for asynchronous
-  /// processing (persistent queue table or in-memory task).
+  /// processing (durably in the WAL, or as an in-memory task).
   Status SubmitUpdate(const UpdateDescriptor& token);
 
   /// Batched entry: stages a whole batch with ONE task-queue PushBatch —
@@ -195,7 +196,7 @@ class TriggerManager {
   /// per update. `per_update` (optional) receives one Status per token
   /// in order; the returned Status is the first failure (all tokens are
   /// attempted regardless).
-  /// With durable_wal, the batch is appended to the WAL and group-
+  /// In durable mode, the batch is appended to the WAL and group-
   /// committed before any task is staged; the call returns only once the
   /// batch is durable (or with the commit error, in which case nothing
   /// was staged and no session sequence advanced). `stamp` (optional)
@@ -377,8 +378,6 @@ class TriggerManager {
   /// True if the trigger and its set are enabled.
   bool IsEnabled(TriggerId id) const;
 
-  Status EnqueueTokenTasks(const UpdateDescriptor& token);
-
   /// Durable-path batch submission (WAL append + group commit + staging).
   Status SubmitDurableBatch(const std::vector<UpdateDescriptor>& tokens,
                             std::vector<Status>* per_update,
@@ -388,10 +387,6 @@ class TriggerManager {
   /// bookkeeping (MarkWalProcessed) when its partition completes.
   void AppendWalTokenTasks(const UpdateDescriptor& token, uint64_t batch_id,
                            uint32_t index, std::vector<Task>* out);
-
-  /// Pump task for WAL-mode staging-queue records (which are wrapped
-  /// with their batch id and token index).
-  Task MakeWalPumpTask();
 
   /// One partitioned task of (batch_id, index) finished; when the whole
   /// token is done, appends a kProcessed marker (made durable by the
@@ -422,18 +417,13 @@ class TriggerManager {
   void AppendTokenBatchTasks(const std::vector<UpdateDescriptor>& tokens,
                              std::vector<Task>* out);
 
-  /// Builds the pump task that drains one record from the persistent
-  /// update queue (§3 staging).
-  Task MakePumpTask();
-
   Database* db_;
   TriggerManagerOptions options_;
 
   std::unique_ptr<TriggerCatalog> catalog_;
   std::unique_ptr<PredicateIndex> pindex_;
   std::unique_ptr<TriggerCache> cache_;
-  std::unique_ptr<TableQueue> update_queue_;  // persistent staging
-  std::unique_ptr<Wal> wal_;                  // durable ingestion log
+  std::unique_ptr<Wal> wal_;  // durable ingestion log (persistent staging)
   DataSourceRegistry registry_;
   EventManager events_;
   std::unique_ptr<ActionExecutor> actions_;

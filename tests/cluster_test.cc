@@ -145,8 +145,9 @@ class Cluster {
   // A mute is not a kill: the incarnation lives on, but anything it fired
   // before going silent may have an ack stuck in its outbox — the router
   // declares it dead and re-routes those tokens, so they carry the same
-  // lost-ack <=2 ambiguity as a kill. Tokens it had NOT fired stay strict:
-  // rejoin fences stop their staged copies.
+  // lost-ack <=2 ambiguity as a kill. RunScenario calls this at the mute
+  // and again at the death verdict. Tokens it had NOT fired by then stay
+  // strict: rejoin fences stop their staged copies.
   void MarkFiredAmbiguous(size_t i) {
     for (const auto& [id, n] : slots_[i]->cur_fired) ambiguous_.insert(id);
   }
@@ -301,9 +302,18 @@ ScenarioResult RunScenario(Cluster* cluster, ClusterRouter* router,
     });
   }
 
+  uint64_t failovers = router->stats().failovers;
   sched.AddActor("router", [&] {
     now_ms += 1;
     router->PumpOnce(now_ms);
+    // A muted victim keeps its router channel until the death verdict, so
+    // tokens it fires after waking but before the verdict are
+    // at-least-once as well (DESIGN §12): widen the ambiguity to
+    // everything it fired up to the failover.
+    if (mute_instead && router->stats().failovers > failovers) {
+      failovers = router->stats().failovers;
+      cluster->MarkFiredAmbiguous(victim);
+    }
     if (killed && !rejoined) ++pumps_since_kill;
     if (killed && !rejoined && rejoin_delay >= 0 &&
         pumps_since_kill >= rejoin_delay) {

@@ -3,7 +3,7 @@
 //
 //   1. Enumerate every fault site the durable storage stack registers
 //      (FaultInjector::RegisteredSites()) — each is a crash point.
-//   2. For each site (x countdown depth x staging mode), run a seeded
+//   2. For each site (x countdown depth), run a seeded
 //      deterministic workload (two stamped ingest sessions, a task
 //      driver, a checkpointer) against a live TriggerManager until the
 //      armed fault trips, then KILL the instance: destroy it with no
@@ -77,10 +77,9 @@ struct SessionState {
   std::vector<int64_t> ids;
 };
 
-TriggerManagerOptions DurableOptions(bool persistent) {
+TriggerManagerOptions DurableOptions() {
   TriggerManagerOptions opts;
   opts.durable_wal = true;
-  opts.persistent_queue = persistent;
   opts.wal_checkpoint_bytes = 1024;  // small: checkpoints happen in-test
   return opts;
 }
@@ -90,13 +89,13 @@ TriggerManagerOptions DurableOptions(bool persistent) {
 /// the site whose injected-fault count to report; `run_drivers` controls
 /// whether pre-kill tokens get processed at all. EXPECTs the durability
 /// invariants; `context` tags every failure message.
-void RunCycle(Oracle* oracle, bool persistent, uint64_t seed,
+void RunCycle(Oracle* oracle, uint64_t seed,
               const std::function<void(FaultInjector*)>& arm,
               const std::string& stat_site, bool run_drivers,
               const std::string& context) {
   Database db;
   FaultInjector* faults = db.disk()->fault_injector();
-  TriggerManagerOptions opts = DurableOptions(persistent);
+  TriggerManagerOptions opts = DurableOptions();
   Schema feed({{"id", DataType::kInt}});
   DataSourceId ds = 0;
 
@@ -283,16 +282,15 @@ void RunCycle(Oracle* oracle, bool persistent, uint64_t seed,
 
 TEST(CrashRecoveryTest, DurableStackRegistersAllCrashPoints) {
   Database db;
-  TriggerManager tman(&db, DurableOptions(/*persistent=*/true));
+  TriggerManager tman(&db, DurableOptions());
   ASSERT_TRUE(tman.Open().ok());
   std::vector<std::string> sites =
       db.disk()->fault_injector()->RegisteredSites();
   std::set<std::string> have(sites.begin(), sites.end());
   for (const char* site :
        {"disk.read", "disk.write", "disk.write.short", "disk.sync",
-        "buffer.fetch", "buffer.new", "buffer.flush", "table_queue.push",
-        "table_queue.push.meta", "table_queue.pop", "table_queue.pop.meta",
-        "wal.append", "wal.write", "wal.fsync", "wal.truncate"}) {
+        "buffer.fetch", "buffer.new", "buffer.flush", "wal.append",
+        "wal.write", "wal.fsync", "wal.truncate"}) {
     EXPECT_TRUE(have.count(site)) << "site not registered: " << site;
   }
 }
@@ -300,18 +298,16 @@ TEST(CrashRecoveryTest, DurableStackRegistersAllCrashPoints) {
 // --- clean kill: acked-but-unprocessed tokens replay exactly once ------
 
 TEST(CrashRecoveryTest, CleanKillReplaysAckedUnprocessedExactlyOnce) {
-  for (bool persistent : {false, true}) {
-    // No drivers: every acked token is still unprocessed at the kill.
-    Oracle o;
-    RunCycle(&o, persistent, /*seed=*/7, /*arm=*/{}, /*stat_site=*/"",
-             /*run_drivers=*/false, persistent ? "persistent" : "memory");
-    EXPECT_FALSE(o.crashed);
-    EXPECT_EQ(o.acked.size(),
-              static_cast<size_t>(2 * kBatchesPerSession * kTokensPerBatch));
-    for (int64_t id : o.acked) {
-      EXPECT_EQ(o.fired_pre.count(id), 0u);
-      EXPECT_EQ(o.fired_post[id], 1);
-    }
+  // No drivers: every acked token is still unprocessed at the kill.
+  Oracle o;
+  RunCycle(&o, /*seed=*/7, /*arm=*/{}, /*stat_site=*/"",
+           /*run_drivers=*/false, "clean");
+  EXPECT_FALSE(o.crashed);
+  EXPECT_EQ(o.acked.size(),
+            static_cast<size_t>(2 * kBatchesPerSession * kTokensPerBatch));
+  for (int64_t id : o.acked) {
+    EXPECT_EQ(o.fired_pre.count(id), 0u);
+    EXPECT_EQ(o.fired_post[id], 1);
   }
 }
 
@@ -321,36 +317,31 @@ TEST(CrashRecoveryTest, KillAndRecoverAtEveryRegisteredFaultSite) {
   std::map<std::string, uint64_t> tripped;  // site -> total injected faults
   std::set<std::string> must_trip;
   uint64_t seed = 1;
-  for (bool persistent : {false, true}) {
-    // Enumerate the sites this mode's stack registers.
-    std::vector<std::string> sites;
-    {
-      Database db;
-      TriggerManager tman(&db, DurableOptions(persistent));
-      ASSERT_TRUE(tman.Open().ok());
-      sites = db.disk()->fault_injector()->RegisteredSites();
+  // Enumerate the sites the durable stack registers.
+  std::vector<std::string> sites;
+  {
+    Database db;
+    TriggerManager tman(&db, DurableOptions());
+    ASSERT_TRUE(tman.Open().ok());
+    sites = db.disk()->fault_injector()->RegisteredSites();
+  }
+  ASSERT_FALSE(sites.empty());
+  for (const std::string& site : sites) {
+    // The workload must be able to reach every wal/disk crash point;
+    // buffer.* sites are enumerated and armed too, but some
+    // (buffer.flush) have no durable-path caller mid-workload.
+    if (site.rfind("wal.", 0) == 0 || site.rfind("disk.", 0) == 0) {
+      must_trip.insert(site);
     }
-    ASSERT_FALSE(sites.empty());
-    for (const std::string& site : sites) {
-      // The workload must be able to reach every wal/disk/table_queue
-      // crash point; buffer.* sites are enumerated and armed too, but
-      // some (buffer.flush) have no durable-path caller mid-workload.
-      if (site.rfind("wal.", 0) == 0 || site.rfind("disk.", 0) == 0 ||
-          site.rfind("table_queue.", 0) == 0) {
-        must_trip.insert(site);
-      }
-      for (uint64_t hits : {0u, 1u, 4u}) {
-        std::string context =
-            std::string(persistent ? "persistent" : "memory") + "/" + site +
-            "/hits=" + std::to_string(hits) + "/seed=" +
-            std::to_string(seed);
-        Oracle o;
-        RunCycle(&o, persistent, seed++,
-                 [&](FaultInjector* f) { f->ArmCountdown(site, hits); },
-                 /*stat_site=*/site, /*run_drivers=*/true, context);
-        tripped[site] += o.site_faults;
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+    for (uint64_t hits : {0u, 1u, 4u}) {
+      std::string context = site + "/hits=" + std::to_string(hits) +
+                            "/seed=" + std::to_string(seed);
+      Oracle o;
+      RunCycle(&o, seed++,
+               [&](FaultInjector* f) { f->ArmCountdown(site, hits); },
+               /*stat_site=*/site, /*run_drivers=*/true, context);
+      tripped[site] += o.site_faults;
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
   for (const std::string& site : must_trip) {
@@ -363,16 +354,12 @@ TEST(CrashRecoveryTest, KillAndRecoverAtEveryRegisteredFaultSite) {
 
 TEST(CrashRecoveryTest, SeededFaultStormsRecover) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    bool persistent = (seed % 2) == 0;
     std::string context = "storm/seed=" + std::to_string(seed);
     Oracle o;
-    RunCycle(&o, persistent, seed,
+    RunCycle(&o, seed,
              [&](FaultInjector* f) {
                f->ArmProbability("wal.*", 0.04, seed * 13 + 1);
                f->ArmProbability("disk.sync", 0.02, seed * 13 + 2);
-               if (persistent) {
-                 f->ArmProbability("table_queue.*", 0.02, seed * 13 + 3);
-               }
              },
              /*stat_site=*/"", /*run_drivers=*/true, context);
     if (::testing::Test::HasFatalFailure()) return;
@@ -383,7 +370,7 @@ TEST(CrashRecoveryTest, SeededFaultStormsRecover) {
 
 TEST(CrashRecoveryTest, FaultDuringRecoveryFailsCleanlyThenSucceeds) {
   Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/true);
+  TriggerManagerOptions opts = DurableOptions();
   Schema feed({{"id", DataType::kInt}});
   {
     TriggerManager a(&db, opts);
@@ -440,7 +427,7 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryFailsCleanlyThenSucceeds) {
 
 TEST(CrashRecoveryTest, CheckpointDuringFailedCommitDoesNotResurrectBatch) {
   Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/false);
+  TriggerManagerOptions opts = DurableOptions();
   Schema feed({{"id", DataType::kInt}});
   std::map<int64_t, int> fired_pre, fired_post;
   {
@@ -516,34 +503,6 @@ TEST(CrashRecoveryTest, CheckpointDuringFailedCommitDoesNotResurrectBatch) {
   }
 }
 
-// --- staged-queue dequeue failures must surface ------------------------
-
-TEST(CrashRecoveryTest, StagedQueueDequeueErrorSurfacesFromPumpTask) {
-  Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/true);
-  Schema feed({{"id", DataType::kInt}});
-  TriggerManager a(&db, opts);
-  ASSERT_TRUE(a.Open().ok());
-  auto ds = a.DefineStreamSource("feed", feed);
-  ASSERT_TRUE(ds.ok());
-  ASSERT_TRUE(
-      a.SubmitUpdate(UpdateDescriptor::Insert(*ds, Tuple({Value::Int(7)})))
-          .ok());
-  // The submit staged one pump task. A dequeue failure that is not
-  // NotFound (here: injected corruption) must propagate from the task,
-  // not read as "another pump already consumed it".
-  db.disk()->fault_injector()->ArmCountdown("table_queue.pop", 0,
-                                            StatusCode::kCorruption);
-  Task t;
-  ASSERT_TRUE(a.task_queue().TryPop(&t));
-  Status st = t.work();
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
-  db.disk()->fault_injector()->ClearAll();
-  // The token stays durably pending, so the next recovery replays it.
-  EXPECT_EQ(a.WalPendingTokens(), 1u);
-}
-
 // --- legacy (pre-V2) checkpoint records still replay -------------------
 //
 // The checkpoint payload grew a meta blob and per-token sequence stamps
@@ -554,7 +513,7 @@ TEST(CrashRecoveryTest, StagedQueueDequeueErrorSurfacesFromPumpTask) {
 
 TEST(CrashRecoveryTest, LegacyCheckpointRecordReplaysAfterUpgrade) {
   Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/false);
+  TriggerManagerOptions opts = DurableOptions();
   Schema feed({{"id", DataType::kInt}});
   {
     TriggerManager a(&db, opts);

@@ -408,6 +408,38 @@ TEST_F(TriggerManagerTest, StreamSourcesSurviveReopen) {
   EXPECT_EQ(tman_->events().num_raised(), 1u);
 }
 
+TEST_F(TriggerManagerTest, StagedTokensFireOnceAfterReopen) {
+  // Default options stage durably: tokens acknowledged but not processed
+  // when the manager goes away are replayed by the next Open(), and a
+  // later submission fires itself, not a leftover.
+  Schema feed({{"id", DataType::kInt}});
+  auto ds = tman_->DefineStreamSource("feed", feed);
+  ASSERT_TRUE(ds.ok());
+  Exec("create trigger seen from feed when feed.id >= 0 "
+       "do raise event Seen(feed.id)");
+  std::vector<UpdateDescriptor> batch;
+  for (int64_t id = 0; id < 5; ++id) {
+    batch.push_back(UpdateDescriptor::Insert(*ds, Tuple({Value::Int(id)})));
+  }
+  ASSERT_TRUE(tman_->SubmitUpdateBatch(batch).ok());
+  tman_.reset();  // no processing: the tokens are only staged
+
+  tman_ = std::make_unique<TriggerManager>(db_.get());
+  ASSERT_TRUE(tman_->Open().ok());
+  std::map<int64_t, int> fired;
+  tman_->events().Register(
+      "Seen", [&](const Event& e) { fired[e.args[0].as_int()]++; });
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  ASSERT_TRUE(
+      tman_->SubmitUpdate(UpdateDescriptor::Insert(*ds, Tuple({Value::Int(5)})))
+          .ok());
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  ASSERT_EQ(fired.size(), 6u);
+  for (int64_t id = 0; id < 6; ++id) {
+    EXPECT_EQ(fired[id], 1) << "token " << id;
+  }
+}
+
 TEST_F(TriggerManagerTest, CacheEvictionReloadsDuringFiring) {
   TriggerManagerOptions options;
   options.trigger_cache_capacity = 2;  // tiny: constant eviction
