@@ -193,6 +193,16 @@ Result<std::optional<TriggerSetRow>> TriggerCatalog::GetTriggerSetById(
   return out;
 }
 
+Result<std::vector<TriggerSetRow>> TriggerCatalog::AllTriggerSets() {
+  std::vector<TriggerSetRow> out;
+  TMAN_RETURN_IF_ERROR(db_->Scan(
+      kTriggerSetTable, [&out](const Rid&, const Tuple& t) {
+        out.push_back(DecodeSetRow(t));
+        return true;
+      }));
+  return out;
+}
+
 Status TriggerCatalog::SetTriggerSetEnabled(const std::string& name,
                                             bool enabled) {
   std::string needle = ToLower(name);

@@ -58,6 +58,7 @@ class TriggerCatalog {
                                     const std::string& comments);
   Result<std::optional<TriggerSetRow>> GetTriggerSet(const std::string& name);
   Result<std::optional<TriggerSetRow>> GetTriggerSetById(uint64_t ts_id);
+  Result<std::vector<TriggerSetRow>> AllTriggerSets();
   Status SetTriggerSetEnabled(const std::string& name, bool enabled);
 
   // --- triggers ----------------------------------------------------------

@@ -12,6 +12,8 @@
 
 namespace tman {
 
+class GroupByEvaluator;
+
 /// The complete description of one trigger as kept in the trigger cache
 /// (§5.1): identity, parsed syntax tree, condition graph, A-TREAT network
 /// skeleton, and the action. Instances are shared immutably through
@@ -30,6 +32,11 @@ struct TriggerRuntime {
   /// exprIDs of the selection predicates registered in the predicate
   /// index for this trigger (used by drop trigger).
   std::vector<ExprId> expr_ids;
+
+  /// Group-by state of an aggregate trigger (null otherwise). Shared with
+  /// every reload of this trigger, so cache eviction cannot drop group
+  /// counters; the evaluator is internally synchronized.
+  std::shared_ptr<GroupByEvaluator> aggregate;
 
   bool multi_variable() const { return graph.nodes().size() > 1; }
 };

@@ -1,0 +1,68 @@
+#include "core/trigger_directory.h"
+
+#include <string>
+
+namespace tman {
+
+namespace {
+
+Status OutOfRange(const char* what, uint64_t id) {
+  return Status::ResourceExhausted(std::string(what) + " id " +
+                                   std::to_string(id) +
+                                   " exceeds the trigger directory");
+}
+
+}  // namespace
+
+Status TriggerDirectory::Install(TriggerId id, uint64_t ts_id, uint32_t kind,
+                                 const std::vector<DataSourceId>& sources) {
+  if (id >= kCapacity) return OutOfRange("trigger", id);
+  if (ts_id >= kCapacity) return OutOfRange("trigger set", ts_id);
+  kind &= kMultiVariable | kAggregate;
+  if (kind != 0) {
+    for (DataSourceId source : sources) {
+      if (source >= kCapacity) return OutOfRange("data source", source);
+    }
+    for (DataSourceId source : sources) {
+      maintained_.Ensure(source)->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  Slot* slot = slots_.Ensure(id);
+  slot->ts_id.store(static_cast<uint32_t>(ts_id), std::memory_order_relaxed);
+  slot->flags.store(kLive | kEnabled | kind, std::memory_order_release);
+  return Status::OK();
+}
+
+uint32_t TriggerDirectory::Remove(TriggerId id) {
+  Slot* slot = slots_.FindMutable(id);
+  if (slot == nullptr) return 0;
+  return slot->flags.exchange(0, std::memory_order_acq_rel);
+}
+
+void TriggerDirectory::ReleaseSources(
+    const std::vector<DataSourceId>& sources) {
+  for (DataSourceId source : sources) {
+    std::atomic<uint32_t>* count = maintained_.FindMutable(source);
+    if (count == nullptr) continue;
+    uint32_t n = count->load(std::memory_order_relaxed);
+    if (n > 0) count->store(n - 1, std::memory_order_relaxed);
+  }
+}
+
+void TriggerDirectory::SetEnabled(TriggerId id, bool enabled) {
+  Slot* slot = slots_.FindMutable(id);
+  if (slot == nullptr) return;
+  uint32_t flags = slot->flags.load(std::memory_order_relaxed);
+  if ((flags & kLive) == 0) return;
+  flags = enabled ? (flags | kEnabled) : (flags & ~kEnabled);
+  slot->flags.store(flags, std::memory_order_release);
+}
+
+Status TriggerDirectory::SetSetEnabled(uint64_t ts_id, bool enabled) {
+  std::atomic<bool>* disabled = set_disabled_.Ensure(ts_id);
+  if (disabled == nullptr) return OutOfRange("trigger set", ts_id);
+  disabled->store(!enabled, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+}  // namespace tman

@@ -36,6 +36,15 @@ Status WalDecodeError() {
   return Status::Corruption("wal: malformed record payload");
 }
 
+// The data source of each condition-graph node (one per tuple variable).
+std::vector<DataSourceId> NodeSources(const TriggerRuntime& runtime) {
+  std::vector<DataSourceId> sources;
+  for (const auto& node : runtime.graph.nodes()) {
+    sources.push_back(node.info.source_id);
+  }
+  return sources;
+}
+
 }  // namespace
 
 TriggerManager::TriggerManager(Database* db, TriggerManagerOptions options)
@@ -104,8 +113,16 @@ Status TriggerManager::Open() {
     TMAN_RETURN_IF_ERROR(catalog_->InsertDataSource(row));
   }
 
-  // Reload previously created triggers: rebuild the predicate index and
-  // prime their networks.
+  // Reload the trigger sets' enabled flags, then previously created
+  // triggers: rebuild the predicate index and prime their networks.
+  TMAN_ASSIGN_OR_RETURN(std::vector<TriggerSetRow> sets,
+                        catalog_->AllTriggerSets());
+  {
+    std::unique_lock lock(meta_mutex_);
+    for (const TriggerSetRow& set : sets) {
+      TMAN_RETURN_IF_ERROR(directory_.SetSetEnabled(set.ts_id, set.is_enabled));
+    }
+  }
   TMAN_ASSIGN_OR_RETURN(std::vector<TriggerRow> rows, catalog_->AllTriggers());
   for (const TriggerRow& row : rows) {
     TMAN_ASSIGN_OR_RETURN(Command cmd, ParseCommand(row.trigger_text));
@@ -119,7 +136,7 @@ Status TriggerManager::Open() {
                        /*catalog_write=*/false));
     if (!row.is_enabled) {
       std::unique_lock lock(meta_mutex_);
-      trigger_meta_[row.trigger_id].enabled = false;
+      directory_.SetEnabled(row.trigger_id, false);
     }
   }
 
@@ -419,10 +436,9 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
   }
   runtime->expr_ids = expr_ids;
 
-  // Aggregate triggers: create the group-by evaluator (kept outside the
-  // cache; reset on reopen — the paper leaves durable aggregate state as
-  // future work).
-  std::shared_ptr<GroupByEvaluator> aggregate;
+  // Aggregate triggers: create the group-by evaluator (it outlives cache
+  // eviction through aggregates_; reset on reopen — the paper leaves
+  // durable aggregate state as future work).
   if (!runtime->cmd.group_by.empty()) {
     auto ev = GroupByEvaluator::Create(
         runtime->graph.nodes()[0].info.var,
@@ -432,7 +448,7 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
       for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
       return ev.status();
     }
-    aggregate = std::move(*ev);
+    runtime->aggregate = std::move(*ev);
   }
 
   // Prime stored alpha memories from current table contents.
@@ -440,23 +456,21 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
 
   {
     std::unique_lock lock(meta_mutex_);
-    TriggerMeta meta;
-    meta.id = trigger_id;
-    meta.ts_id = ts_id;
-    meta.enabled = true;
-    meta.multi_variable = runtime->multi_variable();
-    meta.is_aggregate = aggregate != nullptr;
-    trigger_meta_[trigger_id] = meta;
-    trigger_by_name_[runtime->name] = trigger_id;
-    if (set_enabled_.count(ts_id) == 0) set_enabled_[ts_id] = true;
-    if (meta.needs_maintenance()) {
-      for (const auto& node : runtime->graph.nodes()) {
-        ++maintenance_triggers_[node.info.source_id];
-      }
+    uint32_t kind =
+        (runtime->multi_variable() ? TriggerDirectory::kMultiVariable : 0) |
+        (runtime->aggregate != nullptr ? TriggerDirectory::kAggregate : 0);
+    Status s = directory_.Install(trigger_id, ts_id, kind,
+                                  NodeSources(*runtime));
+    if (!s.ok()) {
+      for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
+      return s;
     }
+    trigger_by_name_[runtime->name] = trigger_id;
     // Remember the expr ids for drop trigger even after cache eviction.
     expr_ids_by_trigger_[trigger_id] = std::move(expr_ids);
-    if (aggregate != nullptr) aggregates_[trigger_id] = std::move(aggregate);
+    if (runtime->aggregate != nullptr) {
+      aggregates_[trigger_id] = runtime->aggregate;
+    }
   }
 
   cache_->Put(trigger_id, TriggerHandle(runtime));
@@ -487,6 +501,7 @@ Status TriggerManager::DropTrigger(const std::string& name) {
   std::string lname = ToLower(name);
   TriggerId id = 0;
   std::vector<ExprId> expr_ids;
+  uint32_t flags = 0;
   {
     std::unique_lock lock(meta_mutex_);
     auto it = trigger_by_name_.find(lname);
@@ -500,24 +515,17 @@ Status TriggerManager::DropTrigger(const std::string& name) {
       expr_ids_by_trigger_.erase(eit);
     }
     trigger_by_name_.erase(it);
+    flags = directory_.Remove(id);
+    aggregates_.erase(id);
   }
   // Fix per-source maintenance counts using the runtime if available.
-  auto pinned = cache_->Pin(id);
-  if (pinned.ok()) {
-    std::unique_lock lock(meta_mutex_);
-    if (trigger_meta_[id].needs_maintenance()) {
-      for (const auto& node : (*pinned)->graph.nodes()) {
-        auto mit = maintenance_triggers_.find(node.info.source_id);
-        if (mit != maintenance_triggers_.end() && mit->second > 0) {
-          --mit->second;
-        }
-      }
+  if ((flags & (TriggerDirectory::kMultiVariable |
+                TriggerDirectory::kAggregate)) != 0) {
+    auto pinned = cache_->Pin(id);
+    if (pinned.ok()) {
+      std::unique_lock lock(meta_mutex_);
+      directory_.ReleaseSources(NodeSources(**pinned));
     }
-  }
-  {
-    std::unique_lock lock(meta_mutex_);
-    trigger_meta_.erase(id);
-    aggregates_.erase(id);
   }
   for (ExprId eid : expr_ids) {
     Status s = pindex_->RemovePredicate(eid);
@@ -536,9 +544,7 @@ Status TriggerManager::SetTriggerEnabled(const std::string& name,
   TMAN_RETURN_IF_ERROR(catalog_->SetTriggerEnabled(lname, enabled));
   std::unique_lock lock(meta_mutex_);
   auto it = trigger_by_name_.find(lname);
-  if (it != trigger_by_name_.end()) {
-    trigger_meta_[it->second].enabled = enabled;
-  }
+  if (it != trigger_by_name_.end()) directory_.SetEnabled(it->second, enabled);
   return Status::OK();
 }
 
@@ -547,8 +553,7 @@ Status TriggerManager::CreateTriggerSet(const std::string& name,
   TMAN_ASSIGN_OR_RETURN(uint64_t ts_id,
                         catalog_->CreateTriggerSet(name, comments));
   std::unique_lock lock(meta_mutex_);
-  set_enabled_[ts_id] = true;
-  return Status::OK();
+  return directory_.SetSetEnabled(ts_id, true);
 }
 
 Status TriggerManager::SetTriggerSetEnabled(const std::string& name,
@@ -556,8 +561,7 @@ Status TriggerManager::SetTriggerSetEnabled(const std::string& name,
   TMAN_RETURN_IF_ERROR(catalog_->SetTriggerSetEnabled(name, enabled));
   TMAN_ASSIGN_OR_RETURN(auto set, catalog_->GetTriggerSet(name));
   std::unique_lock lock(meta_mutex_);
-  set_enabled_[set->ts_id] = enabled;
-  return Status::OK();
+  return directory_.SetSetEnabled(set->ts_id, enabled);
 }
 
 // ---------------------------------------------------------------------------
@@ -1267,15 +1271,6 @@ AdaptRoundReport TriggerManager::RunAdaptationRound() {
 
 void TriggerManager::Drain() { task_queue_.WaitIdle(); }
 
-bool TriggerManager::IsEnabled(TriggerId id) const {
-  std::shared_lock lock(meta_mutex_);
-  auto it = trigger_meta_.find(id);
-  if (it == trigger_meta_.end()) return false;
-  if (!it->second.enabled) return false;
-  auto sit = set_enabled_.find(it->second.ts_id);
-  return sit == set_enabled_.end() || sit->second;
-}
-
 Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
                                      uint32_t partition,
                                      uint32_t num_partitions) {
@@ -1283,45 +1278,31 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
   // stored alpha memories of multi-variable triggers, or aggregate
   // groups). Matching here ignores event opcodes — state must track the
   // selection result regardless of which events fire the trigger.
-  bool need_maintenance = false;
-  {
-    std::shared_lock lock(meta_mutex_);
-    auto it = maintenance_triggers_.find(token.data_source);
-    need_maintenance = it != maintenance_triggers_.end() && it->second > 0;
-  }
-  if (need_maintenance) {
+  if (directory_.NeedsMaintenance(token.data_source)) {
     auto maintain = [&](const Tuple& tuple, bool add) -> Status {
       Status inner = Status::OK();
       TMAN_RETURN_IF_ERROR(pindex_->MatchMaintenance(
           token.data_source, tuple, partition, num_partitions,
           [&](const PredicateMatch& m) {
             if (!inner.ok()) return;
-            bool multi = false;
-            bool is_aggregate = false;
-            {
-              std::shared_lock lock(meta_mutex_);
-              auto it = trigger_meta_.find(m.trigger_id);
-              if (it != trigger_meta_.end()) {
-                multi = it->second.multi_variable;
-                is_aggregate = it->second.is_aggregate;
-              }
-            }
-            if (!multi && !is_aggregate) return;
+            const uint32_t flags = directory_.Flags(m.trigger_id);
+            const bool is_aggregate =
+                (flags & TriggerDirectory::kAggregate) != 0;
+            // Join memories track the selection even while the trigger is
+            // disabled; a disabled aggregate's groups stay frozen.
+            const uint32_t needed = is_aggregate
+                                        ? TriggerDirectory::kEnabled
+                                        : TriggerDirectory::kMultiVariable;
+            if ((flags & needed) == 0) return;
             auto pinned = cache_->Pin(m.trigger_id);
             if (!pinned.ok()) {
               inner = pinned.status();
               return;
             }
             if (is_aggregate) {
-              std::shared_ptr<GroupByEvaluator> agg;
-              {
-                std::shared_lock lock(meta_mutex_);
-                auto ait = aggregates_.find(m.trigger_id);
-                if (ait != aggregates_.end()) agg = ait->second;
-              }
-              if (agg != nullptr && IsEnabled(m.trigger_id)) {
-                Status s = RunAggregateDelta(agg, *pinned, token, tuple, add,
-                                             m.next_node);
+              if ((*pinned)->aggregate != nullptr) {
+                Status s =
+                    RunAggregateDelta(*pinned, token, tuple, add, m.next_node);
                 if (!s.ok()) inner = s;
               }
               return;
@@ -1366,7 +1347,7 @@ Status TriggerManager::ProcessToken(const UpdateDescriptor& token,
   TMAN_RETURN_IF_ERROR(pindex_->MatchPartitioned(
       token, partition, num_partitions, [&](const PredicateMatch& m) {
         if (!inner.ok()) return;
-        if (!IsEnabled(m.trigger_id)) return;
+        if (!TriggerDirectory::Fires(directory_.Flags(m.trigger_id))) return;
         auto pinned = cache_->Pin(m.trigger_id);
         if (!pinned.ok()) {
           inner = pinned.status();
@@ -1425,7 +1406,9 @@ Status TriggerManager::ProcessTokenBatch(
         [&](size_t lane, const PredicateMatch& m) {
           size_t orig = any_failed ? lane_map[lane] : lane;
           if (!lane_status[orig].ok()) return;
-          if (!IsEnabled(m.trigger_id)) return;
+          if (!TriggerDirectory::Fires(directory_.Flags(m.trigger_id))) {
+            return;
+          }
           auto pinned = cache_->Pin(m.trigger_id);
           if (!pinned.ok()) {
             lane_status[orig] = pinned.status();
@@ -1452,13 +1435,6 @@ Status TriggerManager::ProcessTokenBatch(
 Status TriggerManager::RunFiring(const PredicateMatch& match,
                                  const TriggerHandle& trigger,
                                  const UpdateDescriptor& token) {
-  // Aggregate triggers already consumed the token in the maintenance
-  // pass (their firing is an edge of the having condition, not a join
-  // result); nothing to do on the fire path.
-  {
-    std::shared_lock lock(meta_mutex_);
-    if (aggregates_.count(trigger->id) > 0) return Status::OK();
-  }
   StageTimer fire_timer(&stage_metrics_, Stage::kFire, 0);
   uint64_t fired = 0;
   return trigger->network->MatchJoins(
@@ -1492,10 +1468,11 @@ Status TriggerManager::RunFiring(const PredicateMatch& match,
       });
 }
 
-Status TriggerManager::RunAggregateDelta(
-    const std::shared_ptr<GroupByEvaluator>& agg, const TriggerHandle& trigger,
-    const UpdateDescriptor& token, const Tuple& tuple, bool add,
-    NetworkNodeId arrival_node) {
+Status TriggerManager::RunAggregateDelta(const TriggerHandle& trigger,
+                                         const UpdateDescriptor& token,
+                                         const Tuple& tuple, bool add,
+                                         NetworkNodeId arrival_node) {
+  GroupByEvaluator* agg = trigger->aggregate.get();
   TMAN_ASSIGN_OR_RETURN(auto firings, agg->ApplyDelta(tuple, add));
   for (const GroupByEvaluator::Firing& firing : firings) {
     rule_firings_.fetch_add(1, std::memory_order_relaxed);
@@ -1537,6 +1514,11 @@ Result<TriggerHandle> TriggerManager::LoadTrigger(TriggerId id) {
   // scope (the paper's persistent queue covers staged, not consumed,
   // updates).
   TMAN_RETURN_IF_ERROR(runtime->network->Prime());
+  {
+    std::shared_lock lock(meta_mutex_);
+    auto it = aggregates_.find(id);
+    if (it != aggregates_.end()) runtime->aggregate = it->second;
+  }
   return TriggerHandle(runtime);
 }
 

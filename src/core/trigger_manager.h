@@ -19,6 +19,7 @@
 #include "core/data_source.h"
 #include "core/events.h"
 #include "core/trigger.h"
+#include "core/trigger_directory.h"
 #include "db/database.h"
 #include "expr/token_batch.h"
 #include "predindex/predicate_index.h"
@@ -314,18 +315,6 @@ class TriggerManager {
   Result<TriggerHandle> PinTrigger(const std::string& name);
 
  private:
-  struct TriggerMeta {
-    TriggerId id = 0;
-    uint64_t ts_id = 0;
-    bool enabled = true;
-    bool multi_variable = false;
-    bool is_aggregate = false;
-
-    /// True when tokens must run the maintenance pass for this trigger
-    /// (stored alpha memories or aggregate group state).
-    bool needs_maintenance() const { return multi_variable || is_aggregate; }
-  };
-
   /// §5.1 steps 1–5 for an already-parsed statement. When `catalog_write`
   /// is false the trigger is being reloaded and catalog rows already
   /// exist.
@@ -356,6 +345,7 @@ class TriggerManager {
   Status MaintainToken(const UpdateDescriptor& token, uint32_t partition,
                        uint32_t num_partitions);
 
+  /// Joins + actions for one fire-pass match of a non-aggregate trigger.
   Status RunFiring(const PredicateMatch& match, const TriggerHandle& trigger,
                    const UpdateDescriptor& token);
 
@@ -363,20 +353,17 @@ class TriggerManager {
   /// and updates reach group state regardless of the event clause): apply
   /// one tuple delta to the group-by evaluator and run the action for
   /// every group whose having condition just became true.
-  Status RunAggregateDelta(const std::shared_ptr<GroupByEvaluator>& agg,
-                           const TriggerHandle& trigger,
+  Status RunAggregateDelta(const TriggerHandle& trigger,
                            const UpdateDescriptor& token, const Tuple& tuple,
                            bool add, NetworkNodeId arrival_node);
 
-  /// Loader installed into the trigger cache.
+  /// Loader installed into the trigger cache; re-attaches an aggregate's
+  /// surviving group-by state.
   Result<TriggerHandle> LoadTrigger(TriggerId id);
 
   /// Registers a local table in the registry + predicate index and
   /// installs the capture hook (no catalog write).
   Status RestoreLocalTableSource(const std::string& table);
-
-  /// True if the trigger and its set are enabled.
-  bool IsEnabled(TriggerId id) const;
 
   /// Durable-path batch submission (WAL append + group commit + staging).
   Status SubmitDurableBatch(const std::vector<UpdateDescriptor>& tokens,
@@ -430,17 +417,18 @@ class TriggerManager {
   TaskQueue task_queue_;
   std::unique_ptr<DriverPool> drivers_;
 
+  // Per-match dispatch state, read lock-free by the token pipeline.
+  // DDL updates it under meta_mutex_'s exclusive lock.
+  TriggerDirectory directory_;
+  // Guards the maps below and serializes directory writers. The token
+  // pipeline never takes it; a cache miss (LoadTrigger) reads aggregates_.
   mutable std::shared_mutex meta_mutex_;
-  std::map<TriggerId, TriggerMeta> trigger_meta_;
   std::map<std::string, TriggerId> trigger_by_name_;
   std::map<TriggerId, std::vector<ExprId>> expr_ids_by_trigger_;
-  // Aggregate (group by/having) state lives outside the trigger cache so
-  // eviction cannot drop group counters.
+  // Aggregate (group by/having) state, the one per-trigger structure that
+  // outlives cache eviction: LoadTrigger re-attaches it to a reloaded
+  // runtime.
   std::map<TriggerId, std::shared_ptr<GroupByEvaluator>> aggregates_;
-  std::map<uint64_t, bool> set_enabled_;
-  // Per-source count of triggers needing the maintenance pass (multi-
-  // variable networks with stored memories, or aggregate group state).
-  std::map<DataSourceId, uint32_t> maintenance_triggers_;
   uint64_t default_ts_id_ = 0;
   bool opened_ = false;
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
+#include <thread>
+
 #include "core/trigger_manager.h"
 #include "db/sql.h"
 
@@ -158,6 +162,24 @@ TEST_F(TriggerManagerTest, TriggerSetsDisableMembers) {
   auto events = tman_->events().History();
   ASSERT_EQ(events.size(), 1u);  // only t2 (default set) fired
   EXPECT_EQ(events[0].name, "F");
+}
+
+TEST_F(TriggerManagerTest, DisabledTriggerSetStaysDisabledAfterReopen) {
+  Exec("create trigger set batch 'batch triggers'");
+  Exec("create trigger t1 in batch from emp on insert do raise event E()");
+  Exec("disable trigger set batch");
+  tman_.reset();
+
+  // Open restores the emp source and the set's flag from the catalog.
+  tman_ = std::make_unique<TriggerManager>(db_.get());
+  ASSERT_TRUE(tman_->Open().ok());
+  InsertEmp("A", 1, 1);
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  EXPECT_EQ(tman_->events().num_raised(), 0u);
+  Exec("enable trigger set batch");
+  InsertEmp("B", 1, 1);
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  EXPECT_EQ(tman_->events().num_raised(), 1u);
 }
 
 TEST_F(TriggerManagerTest, DropTriggerStopsFiring) {
@@ -456,6 +478,135 @@ TEST_F(TriggerManagerTest, CacheEvictionReloadsDuringFiring) {
   EXPECT_EQ(tman_->events().num_raised(), 8u);
   EXPECT_GT(tman_->cache().stats().evictions, 0u);
   EXPECT_GT(tman_->cache().stats().misses, 0u);
+}
+
+TEST_F(TriggerManagerTest, AggregateStateSurvivesCacheEviction) {
+  TriggerManagerOptions options;
+  options.trigger_cache_capacity = 1;  // every token evicts
+  Reset(options);
+  Exec("create trigger crowded from emp group by emp.dept "
+       "having count(emp.name) >= 3 "
+       "do raise event Crowded(emp.dept, count(emp.name))");
+  for (int i = 0; i < 3; ++i) {
+    Exec("create trigger s" + std::to_string(i) +
+         " from emp on insert do raise event Seen()");
+  }
+  std::vector<std::pair<int64_t, int64_t>> crowded;  // (dept, count)
+  tman_->events().Register("Crowded", [&](const Event& e) {
+    crowded.emplace_back(e.args[0].as_int(), e.args[1].as_int());
+  });
+  auto insert = [&](const std::string& name, int64_t dept) {
+    InsertEmp(name, 1, dept);
+    ASSERT_TRUE(tman_->ProcessPending().ok());
+  };
+
+  insert("a", 1);
+  insert("b", 1);
+  EXPECT_TRUE(crowded.empty());
+  insert("c", 1);  // dept 1 crosses the threshold
+  insert("d", 1);  // still above: no refire
+  using Firings = std::vector<std::pair<int64_t, int64_t>>;
+  EXPECT_EQ(crowded, (Firings{{1, 3}}));
+  EXPECT_GT(tman_->cache().stats().evictions, 0u);
+  EXPECT_GT(tman_->cache().stats().misses, 0u);
+
+  // A disabled aggregate's groups stay frozen: dept 2 holds two rows
+  // through five inserts while disabled, and the next one fires at 3.
+  insert("e", 2);
+  insert("f", 2);
+  Exec("disable trigger crowded");
+  for (int i = 0; i < 5; ++i) insert("g" + std::to_string(i), 2);
+  EXPECT_EQ(crowded.size(), 1u);
+  Exec("enable trigger crowded");
+  insert("h", 2);
+  EXPECT_EQ(crowded, (Firings{{1, 3}, {2, 3}}));
+}
+
+TEST_F(TriggerManagerTest, DdlRacesLockFreeDispatch) {
+  // Drivers read the trigger directory without a lock while another
+  // thread toggles triggers and sets and creates and drops triggers on
+  // the same source. Triggers nobody touches fire exactly once a token.
+  constexpr int kBatches = 24;
+  constexpr int kBatchTokens = 32;
+  for (bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "memory");
+    TriggerManagerOptions options;
+    options.persistent_queue = durable;
+    options.driver_config.num_drivers = 3;
+    Reset(options);
+    auto ds =
+        tman_->DefineStreamSource("feed", Schema({{"id", DataType::kInt}}));
+    ASSERT_TRUE(ds.ok());
+    Exec("create trigger stable from feed when feed.id >= 0 "
+         "do raise event Stable(feed.id)");
+    Exec("create trigger stable_agg from feed group by feed.id "
+         "having count(feed.id) >= 1 do raise event StableAgg(feed.id)");
+    Exec("create trigger set flipset 'toggled'");
+    Exec("create trigger member in flipset from feed when feed.id >= 0 "
+         "do raise event Member(feed.id)");
+    Exec("create trigger flip from feed when feed.id >= 0 "
+         "do raise event Flip(feed.id)");
+
+    std::mutex mu;
+    std::map<std::string, std::map<int64_t, int>> fired;  // event -> id
+    for (const char* name : {"Stable", "StableAgg"}) {
+      tman_->events().Register(name, [&](const Event& e) {
+        std::lock_guard<std::mutex> lock(mu);
+        fired[e.name][e.args[0].as_int()]++;
+      });
+    }
+    ASSERT_TRUE(tman_->Start().ok());
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> rounds{0};
+    std::atomic<int> ddl_failures{0};
+    std::thread ddl([&] {
+      for (int round = 0; !stop.load(); rounds = ++round) {
+        const std::string extra = "extra" + std::to_string(round);
+        const std::string create =
+            round % 2 == 0
+                ? "create trigger " + extra +
+                      " from feed when feed.id >= 0 do raise event X()"
+                : "create trigger " + extra +
+                      " from feed group by feed.id having "
+                      "count(feed.id) >= 2 do raise event X()";
+        for (const std::string& cmd :
+             {std::string("disable trigger flip"),
+              std::string("disable trigger set flipset"), create,
+              std::string("enable trigger flip"),
+              std::string("enable trigger set flipset"),
+              "drop trigger " + extra}) {
+          if (!tman_->ExecuteCommand(cmd).ok()) ddl_failures++;
+        }
+      }
+    });
+
+    int64_t next_id = 0;
+    for (int b = 0; b < kBatches; ++b) {
+      // Keep the DDL loop moving while batches go in.
+      while (rounds.load() < b) std::this_thread::yield();
+      std::vector<UpdateDescriptor> batch;
+      for (int i = 0; i < kBatchTokens; ++i) {
+        batch.push_back(
+            UpdateDescriptor::Insert(*ds, Tuple({Value::Int(next_id++)})));
+      }
+      ASSERT_TRUE(tman_->SubmitUpdateBatch(batch).ok());
+    }
+    tman_->Drain();
+    stop = true;
+    ddl.join();
+    tman_->Drain();
+    tman_->Stop();
+
+    EXPECT_EQ(ddl_failures.load(), 0);
+    for (const char* name : {"Stable", "StableAgg"}) {
+      const std::map<int64_t, int>& by_id = fired[name];
+      EXPECT_EQ(by_id.size(), static_cast<size_t>(next_id)) << name;
+      for (const auto& [id, n] : by_id) {
+        EXPECT_EQ(n, 1) << name << " token " << id;
+      }
+    }
+  }
 }
 
 TEST_F(TriggerManagerTest, GroupByOverJoinsRejectedAsFutureWork) {
