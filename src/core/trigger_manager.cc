@@ -4,7 +4,6 @@
 
 #include "expr/rewrite.h"
 #include "parser/parser.h"
-#include "util/codec.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -12,29 +11,7 @@ namespace tman {
 
 namespace {
 
-constexpr char kMetaTable[] = "tman_meta";
-constexpr char kWalMetaKey[] = "wal_header_page";
 constexpr char kDefaultSetName[] = "default";
-
-// WAL kBatch payload:
-//   len-prefixed session (empty = unstamped, at-least-once)
-//   u64 ack_seq
-//   u32 token_count, then per token: u64 seq, len-prefixed descriptor
-// WAL kProcessed payload: u64 batch_id, u32 token_index.
-// WAL kCheckpointV2 payload:
-//   len-prefixed durable meta blob
-//   u32 session_count, per session: len-prefixed name, u64 seq
-//   u32 batch_count, per batch: u64 batch_id, len-prefixed session,
-//     u32 token_count, per token: u32 index, u64 seq,
-//     len-prefixed descriptor
-// WAL kCheckpoint payload (legacy; still replayed, never written):
-//   u32 session_count, per session: len-prefixed name, u64 seq
-//   u32 batch_count, per batch: u64 batch_id, len-prefixed session,
-//     u32 token_count, per token: u32 index, len-prefixed descriptor
-
-Status WalDecodeError() {
-  return Status::Corruption("wal: malformed record payload");
-}
 
 // The data source of each condition-graph node (one per tuple variable).
 std::vector<DataSourceId> NodeSources(const TriggerRuntime& runtime) {
@@ -140,50 +117,21 @@ Status TriggerManager::Open() {
     }
   }
 
-  // Durable ingestion: open (or create) the write-ahead log and replay
-  // whatever a previous incarnation left behind. This runs last so the
-  // predicate index and sources are ready for the re-staged tokens. The
-  // WAL header page id is remembered in a tiny meta table.
+  // Durable ingestion: open (or create) the update log and re-stage
+  // whatever a previous incarnation left unprocessed. This runs last so
+  // the predicate index and sources are ready for the re-staged tokens.
   if (options_.durable_wal) {
-    if (!db_->HasTable(kMetaTable)) {
-      TMAN_RETURN_IF_ERROR(
-          db_->CreateTable(kMetaTable,
-                           Schema({{"meta_key", DataType::kVarchar},
-                                   {"meta_value", DataType::kInt}}))
-              .status());
+    TMAN_ASSIGN_OR_RETURN(std::vector<UpdateLog::Recovered> recovered,
+                          log_.Open(db_, options_.condition_partitions,
+                                    options_.wal_checkpoint_bytes));
+    std::vector<Task> tasks;
+    for (const UpdateLog::Recovered& r : recovered) {
+      AppendTokenTasks(r.token, &tasks, r.slot);
     }
-    std::optional<PageId> wal_meta;
-    TMAN_RETURN_IF_ERROR(
-        db_->Scan(kMetaTable, [&](const Rid&, const Tuple& t) {
-          if (t.at(0).as_string() == kWalMetaKey) {
-            wal_meta = static_cast<PageId>(t.at(1).as_int());
-            return false;
-          }
-          return true;
-        }));
-    if (!wal_meta.has_value()) {
-      TMAN_ASSIGN_OR_RETURN(PageId page, Wal::Create(db_->disk()));
-      TMAN_RETURN_IF_ERROR(
-          db_->Insert(kMetaTable,
-                      Tuple({Value::String(kWalMetaKey),
-                             Value::Int(static_cast<int64_t>(page))}))
-              .status());
-      // The meta row itself must survive the next crash, or the WAL
-      // header becomes unreachable.
-      TMAN_RETURN_IF_ERROR(db_->buffer_pool()->FlushAll());
-      wal_meta = page;
-    }
-    TMAN_ASSIGN_OR_RETURN(wal_, Wal::Open(db_->disk(), *wal_meta));
-    TMAN_RETURN_IF_ERROR(RecoverFromWal());
-    // A former cluster member (durable meta carries its partition-map
-    // epoch) that recovered unprocessed tokens must not fire them yet:
-    // the router may have re-routed some while this node was down, and
-    // only the fences on the next partition-map install say which. Pause
-    // dispatch here — before any driver can start — so the hold binds
-    // engine-wide, not just drivers that poll the cluster layer.
-    if (!wal_meta_.empty() && WalPendingTokens() > 0) {
-      task_queue_.Pause();
-    }
+    task_queue_.PushBatch(std::move(tasks));
+    // A former cluster member holds recovered tokens for the router's
+    // fences (see PauseProcessing), before any driver can start.
+    if (!log_.Meta().empty() && !recovered.empty()) task_queue_.Pause();
   }
   return Status::OK();
 }
@@ -382,8 +330,7 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   }
   TMAN_ASSIGN_OR_RETURN(
       runtime->network,
-      ATreatNetwork::Build(runtime->graph, db_, options_.network_options,
-                           schemas));
+      ATreatNetwork::Build(runtime->graph, db_, ATreatOptions{}, schemas));
   return runtime;
 }
 
@@ -630,57 +577,63 @@ Result<std::string> TriggerManager::ExecuteScript(std::string_view text) {
 // ---------------------------------------------------------------------------
 
 Status TriggerManager::SubmitUpdate(const UpdateDescriptor& token) {
-  StageTimer ingest_timer(&stage_metrics_, Stage::kIngest, 1);
-  if (wal_ != nullptr) {
-    // Durable mode: every submission goes through the logged batch path
-    // (a single-token batch still amortizes its sync across whatever
-    // concurrent submitters join the group-commit round).
-    return SubmitDurableBatch({token}, nullptr, nullptr);
-  }
-  updates_submitted_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Task> tasks;
-  AppendTokenTasks(token, &tasks);
-  if (tasks.size() == 1) {
-    task_queue_.Push(std::move(tasks.front()));
-  } else {
-    task_queue_.PushBatch(std::move(tasks));
-  }
-  return Status::OK();
+  return SubmitUpdateBatch({token});
 }
 
 Status TriggerManager::SubmitUpdateBatch(
     const std::vector<UpdateDescriptor>& tokens,
     std::vector<Status>* per_update, const BatchStamp* stamp) {
   StageTimer ingest_timer(&stage_metrics_, Stage::kIngest, tokens.size());
-  if (wal_ != nullptr) return SubmitDurableBatch(tokens, per_update, stamp);
   updates_submitted_.fetch_add(tokens.size(), std::memory_order_relaxed);
-  // Memory mode: the batch is chunked into columnar token-batch tasks so
-  // the whole group rides the batched pipeline end-to-end, and lands
-  // under one shard lock with one wakeup pass.
   std::vector<Task> tasks;
-  AppendTokenBatchTasks(tokens, &tasks);
+  const bool durable = wal_enabled();
+  if (durable) {
+    // The batch is durable (group-committed) before any task is staged;
+    // one task per (token, partition), each reporting back to the log.
+    Result<uint64_t> batch_id = log_.Stage(tokens, stamp);
+    if (!batch_id.ok()) {
+      if (per_update != nullptr) {
+        per_update->assign(tokens.size(), batch_id.status());
+      }
+      return batch_id.status();
+    }
+    tasks.reserve(tokens.size());
+    for (uint32_t i = 0; i < tokens.size(); ++i) {
+      AppendTokenTasks(tokens[i], &tasks, UpdateLog::Slot{*batch_id, i});
+    }
+  } else {
+    // Memory mode: the batch is chunked into columnar token-batch tasks
+    // so the whole group rides the batched pipeline end-to-end, and lands
+    // under one shard lock with one wakeup pass.
+    AppendTokenBatchTasks(tokens, &tasks);
+  }
   if (per_update != nullptr) per_update->assign(tokens.size(), Status::OK());
   task_queue_.PushBatch(std::move(tasks));
+  if (durable) log_.MaybeCheckpoint();
   return Status::OK();
 }
 
 void TriggerManager::AppendTokenTasks(const UpdateDescriptor& token,
-                                      std::vector<Task>* out) {
-  uint32_t parts = options_.condition_partitions;
-  if (parts <= 1) {
-    Task task;
-    task.kind = TaskKind::kProcessToken;
-    UpdateDescriptor copy = token;
-    task.work = [this, copy]() { return ProcessToken(copy, 0, 1); };
-    out->push_back(std::move(task));
-    return;
-  }
+                                      std::vector<Task>* out,
+                                      std::optional<UpdateLog::Slot> logged) {
+  const uint32_t parts = std::max(1u, options_.condition_partitions);
   for (uint32_t p = 0; p < parts; ++p) {
     Task task;
-    task.kind = TaskKind::kProcessTokenPartition;
-    UpdateDescriptor copy = token;
-    task.work = [this, copy, p, parts]() {
-      return ProcessToken(copy, p, parts);
+    task.kind = parts == 1 ? TaskKind::kProcessToken
+                           : TaskKind::kProcessTokenPartition;
+    task.work = [this, token, p, parts, logged]() {
+      // A token fenced by a cluster rejoin (FenceWalSessions) was already
+      // re-routed to another node; complete its bookkeeping without
+      // processing it so it neither fires here nor replays again.
+      if (logged && log_.Fenced(logged->batch_id, logged->index)) {
+        log_.Done(logged->batch_id, logged->index);
+        return Status::OK();
+      }
+      Status s = ProcessToken(token, p, parts);
+      // Only completed partitions report back: a failed one leaves the
+      // token pending so the next recovery replays it (at-least-once).
+      if (logged && s.ok()) log_.Done(logged->batch_id, logged->index);
+      return s;
     };
     out->push_back(std::move(task));
   }
@@ -688,11 +641,7 @@ void TriggerManager::AppendTokenTasks(const UpdateDescriptor& token,
 
 void TriggerManager::AppendTokenBatchTasks(
     const std::vector<UpdateDescriptor>& tokens, std::vector<Task>* out) {
-  const size_t chunk = options_.batch_size;
-  if (chunk <= 1) {
-    for (const UpdateDescriptor& token : tokens) AppendTokenTasks(token, out);
-    return;
-  }
+  const size_t chunk = std::max<size_t>(1, options_.batch_size);
   const uint32_t parts = std::max(1u, options_.condition_partitions);
   for (size_t begin = 0; begin < tokens.size(); begin += chunk) {
     const size_t end = std::min(tokens.size(), begin + chunk);
@@ -714,499 +663,6 @@ void TriggerManager::AppendTokenBatchTasks(
       out->push_back(std::move(task));
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Durable ingestion (WAL)
-// ---------------------------------------------------------------------------
-
-Status TriggerManager::SubmitDurableBatch(
-    const std::vector<UpdateDescriptor>& tokens,
-    std::vector<Status>* per_update, const BatchStamp* stamp) {
-  updates_submitted_.fetch_add(tokens.size(), std::memory_order_relaxed);
-  const std::string session = stamp != nullptr ? stamp->session : "";
-
-  std::vector<std::string> records(tokens.size());
-  std::string payload;
-  PutLengthPrefixed(&payload, session);
-  PutU64(&payload, stamp != nullptr ? stamp->ack_seq : 0);
-  PutU32(&payload, static_cast<uint32_t>(tokens.size()));
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    tokens[i].Serialize(&records[i]);
-    PutU64(&payload, stamp != nullptr && i < stamp->seqs.size()
-                         ? stamp->seqs[i]
-                         : 0);
-    PutLengthPrefixed(&payload, records[i]);
-  }
-
-  // Append + register under wal_mutex_, so a concurrent checkpoint either
-  // snapshots this batch as pending or runs entirely before the append —
-  // never in between (which would truncate the batch record while losing
-  // it from the snapshot).
-  uint64_t batch_id = 0;
-  uint64_t prev_seq = 0;
-  const uint32_t parts = std::max(1u, options_.condition_partitions);
-  {
-    std::lock_guard<std::mutex> lock(wal_mutex_);
-    auto lsn = wal_->Append(WalRecordType::kBatch, payload);
-    if (!lsn.ok()) {
-      if (per_update != nullptr) {
-        per_update->assign(tokens.size(), lsn.status());
-      }
-      return lsn.status();
-    }
-    batch_id = *lsn;
-    if (!tokens.empty()) {
-      PendingBatch& batch = wal_pending_[batch_id];
-      batch.session = session;
-      for (size_t i = 0; i < tokens.size(); ++i) {
-        uint64_t seq = stamp != nullptr && i < stamp->seqs.size()
-                           ? stamp->seqs[i]
-                           : 0;
-        batch.tokens[static_cast<uint32_t>(i)] =
-            PendingToken{std::move(records[i]), seq, parts, false};
-      }
-    }
-    if (!session.empty()) {
-      uint64_t& high = wal_sessions_[session];
-      prev_seq = high;
-      if (stamp->ack_seq > high) high = stamp->ack_seq;
-    }
-    ++wal_commits_in_flight_;
-  }
-
-  // Group commit: the batch is durable (or rejected) past this line.
-  Status committed = wal_->Commit(batch_id);
-  if (!committed.ok()) {
-    std::lock_guard<std::mutex> lock(wal_mutex_);
-    if (--wal_commits_in_flight_ == 0) wal_inflight_cv_.notify_all();
-    wal_pending_.erase(batch_id);
-    if (!session.empty()) {
-      // Roll the high-water mark back unless a later batch on the same
-      // session advanced it further (the IPC server serializes batches
-      // per session, so that only happens for out-of-band submitters).
-      auto it = wal_sessions_.find(session);
-      if (it != wal_sessions_.end() && it->second == stamp->ack_seq) {
-        it->second = prev_seq;
-      }
-    }
-    if (per_update != nullptr) per_update->assign(tokens.size(), committed);
-    return committed;
-  }
-  {
-    std::lock_guard<std::mutex> lock(wal_mutex_);
-    if (--wal_commits_in_flight_ == 0) wal_inflight_cv_.notify_all();
-  }
-
-  // Stage processing: one task per (token, partition), each reporting
-  // back to the WAL bookkeeping when it completes.
-  std::vector<Task> tasks;
-  tasks.reserve(tokens.size());
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    AppendWalTokenTasks(tokens[i], batch_id, static_cast<uint32_t>(i),
-                        &tasks);
-  }
-  if (per_update != nullptr) per_update->assign(tokens.size(), Status::OK());
-  task_queue_.PushBatch(std::move(tasks));
-  MaybeCheckpointWal();
-  return Status::OK();
-}
-
-void TriggerManager::AppendWalTokenTasks(const UpdateDescriptor& token,
-                                         uint64_t batch_id, uint32_t index,
-                                         std::vector<Task>* out) {
-  uint32_t parts = std::max(1u, options_.condition_partitions);
-  for (uint32_t p = 0; p < parts; ++p) {
-    Task task;
-    task.kind = parts == 1 ? TaskKind::kProcessToken
-                           : TaskKind::kProcessTokenPartition;
-    UpdateDescriptor copy = token;
-    task.work = [this, copy, p, parts, batch_id, index]() {
-      // A token fenced by a cluster rejoin (FenceWalSessions) was already
-      // re-routed to another node; complete its bookkeeping without
-      // processing it so it neither fires here nor replays again.
-      if (IsWalTokenFenced(batch_id, index)) {
-        MarkWalProcessed(batch_id, index);
-        return Status::OK();
-      }
-      Status s = ProcessToken(copy, p, parts);
-      // Only completed partitions report back: a failed one leaves the
-      // token pending so the next recovery replays it (at-least-once).
-      if (s.ok()) MarkWalProcessed(batch_id, index);
-      return s;
-    };
-    out->push_back(std::move(task));
-  }
-}
-
-void TriggerManager::MarkWalProcessed(uint64_t batch_id, uint32_t index) {
-  std::lock_guard<std::mutex> lock(wal_mutex_);
-  auto it = wal_pending_.find(batch_id);
-  if (it == wal_pending_.end()) return;
-  auto tok = it->second.tokens.find(index);
-  if (tok == it->second.tokens.end()) return;
-  if (tok->second.remaining_parts > 1) {
-    --tok->second.remaining_parts;
-    return;
-  }
-  it->second.tokens.erase(tok);
-  if (it->second.tokens.empty()) wal_pending_.erase(it);
-  std::string payload;
-  PutU64(&payload, batch_id);
-  PutU32(&payload, index);
-  // Lazily buffered: the marker rides the next commit round for free. If
-  // the append fails (or the process dies first), recovery replays the
-  // token — at-least-once, resolved by action idempotence or dedup.
-  (void)wal_->Append(WalRecordType::kProcessed, payload);
-}
-
-void TriggerManager::MaybeCheckpointWal() {
-  if (wal_ == nullptr) return;
-  if (wal_->RetainedBytes() <= options_.wal_checkpoint_bytes) return;
-  Status s = CheckpointWal();
-  if (!s.ok()) {
-    TMAN_LOG(kWarn) << "wal checkpoint failed: " << s.ToString();
-  }
-}
-
-Status TriggerManager::CheckpointWal() {
-  if (wal_ == nullptr) {
-    return Status::NotSupported("durable staging is not enabled");
-  }
-  bool expected = false;
-  if (!wal_checkpointing_.compare_exchange_strong(expected, true)) {
-    return Status::OK();  // a checkpoint is already in flight
-  }
-  std::string payload;
-  uint64_t end_lsn = 0;
-  Status appended = Status::OK();
-  {
-    // Snapshot + append atomically w.r.t. SubmitDurableBatch (see there).
-    std::unique_lock<std::mutex> lock(wal_mutex_);
-    // Wait out in-flight group commits: a batch whose commit is still
-    // undecided may yet fail and be erased (with its session seq rolled
-    // back), and a checkpoint that listed it would durably re-stage it on
-    // replay even though the client was told to resend.
-    wal_inflight_cv_.wait(lock,
-                          [this] { return wal_commits_in_flight_ == 0; });
-    // The meta blob rides in every checkpoint, else truncation would drop
-    // the kMeta record that carried it.
-    PutLengthPrefixed(&payload, wal_meta_);
-    PutU32(&payload, static_cast<uint32_t>(wal_sessions_.size()));
-    for (const auto& [name, seq] : wal_sessions_) {
-      PutLengthPrefixed(&payload, name);
-      PutU64(&payload, seq);
-    }
-    PutU32(&payload, static_cast<uint32_t>(wal_pending_.size()));
-    for (const auto& [batch_id, batch] : wal_pending_) {
-      PutU64(&payload, batch_id);
-      PutLengthPrefixed(&payload, batch.session);
-      PutU32(&payload, static_cast<uint32_t>(batch.tokens.size()));
-      for (const auto& [index, token] : batch.tokens) {
-        PutU32(&payload, index);
-        PutU64(&payload, token.seq);
-        PutLengthPrefixed(&payload, token.serialized);
-      }
-    }
-    auto lsn = wal_->Append(WalRecordType::kCheckpointV2, payload);
-    if (lsn.ok()) {
-      end_lsn = *lsn;
-    } else {
-      appended = lsn.status();
-    }
-  }
-  Status result = appended;
-  if (result.ok()) result = wal_->Commit(end_lsn);
-  if (result.ok()) {
-    // Everything before the checkpoint record is dead; a failed truncate
-    // only costs log space, never correctness.
-    Lsn record_start = end_lsn - payload.size() - kWalRecordOverhead;
-    Status trunc = wal_->Truncate(record_start);
-    if (!trunc.ok()) {
-      TMAN_LOG(kWarn) << "wal truncate failed: " << trunc.ToString();
-    }
-  }
-  wal_checkpointing_.store(false);
-  return result;
-}
-
-Status TriggerManager::RecoverFromWal() {
-  struct ReplayToken {
-    uint64_t seq = 0;
-    std::string bytes;
-  };
-  struct ReplayBatch {
-    std::string session;
-    std::map<uint32_t, ReplayToken> tokens;
-  };
-  std::map<std::string, uint64_t> sessions;
-  std::map<uint64_t, ReplayBatch> pending;
-  std::string meta;
-  WalRecoveryInfo info;
-
-  TMAN_RETURN_IF_ERROR(wal_->Replay([&](WalRecordType type,
-                                        std::string_view payload,
-                                        Lsn end_lsn) -> Status {
-    size_t pos = 0;
-    switch (type) {
-      case WalRecordType::kBatch: {
-        std::string_view session;
-        uint64_t ack_seq = 0;
-        uint32_t count = 0;
-        if (!GetLengthPrefixed(payload, &pos, &session) ||
-            !GetU64(payload, &pos, &ack_seq) ||
-            !GetU32(payload, &pos, &count)) {
-          return WalDecodeError();
-        }
-        std::string key(session);
-        uint64_t prior = key.empty() ? 0 : sessions[key];
-        for (uint32_t i = 0; i < count; ++i) {
-          uint64_t seq = 0;
-          std::string_view bytes;
-          if (!GetU64(payload, &pos, &seq) ||
-              !GetLengthPrefixed(payload, &pos, &bytes)) {
-            return WalDecodeError();
-          }
-          // A commit round that failed ambiguously is retried by the
-          // client, so the same stamped batch can appear twice in the
-          // log; the session high-water mark identifies the duplicate.
-          if (!key.empty() && seq != 0 && seq <= prior) continue;
-          pending[end_lsn].tokens.emplace(i,
-                                          ReplayToken{seq, std::string(bytes)});
-        }
-        pending[end_lsn].session = key;
-        if (pending[end_lsn].tokens.empty()) pending.erase(end_lsn);
-        if (!key.empty()) {
-          uint64_t& high = sessions[key];
-          if (ack_seq > high) high = ack_seq;
-        }
-        return Status::OK();
-      }
-      case WalRecordType::kProcessed: {
-        uint64_t batch_id = 0;
-        uint32_t index = 0;
-        if (!GetU64(payload, &pos, &batch_id) ||
-            !GetU32(payload, &pos, &index)) {
-          return WalDecodeError();
-        }
-        auto it = pending.find(batch_id);
-        if (it != pending.end()) {
-          it->second.tokens.erase(index);
-          if (it->second.tokens.empty()) pending.erase(it);
-        }
-        return Status::OK();
-      }
-      case WalRecordType::kMeta: {
-        meta.assign(payload);
-        return Status::OK();
-      }
-      case WalRecordType::kCheckpoint: {
-        // Legacy layout: no meta blob, no per-token sequence. A log
-        // written by the previous release can only end in records of
-        // this shape; leave `meta` untouched (those logs carry none) and
-        // default each token's seq to 0 (unstamped: replayed
-        // at-least-once, the contract that release gave anyway).
-        sessions.clear();
-        pending.clear();
-        ++info.checkpoints_seen;
-        uint32_t session_count = 0;
-        if (!GetU32(payload, &pos, &session_count)) return WalDecodeError();
-        for (uint32_t i = 0; i < session_count; ++i) {
-          std::string_view name;
-          uint64_t seq = 0;
-          if (!GetLengthPrefixed(payload, &pos, &name) ||
-              !GetU64(payload, &pos, &seq)) {
-            return WalDecodeError();
-          }
-          sessions[std::string(name)] = seq;
-        }
-        uint32_t batch_count = 0;
-        if (!GetU32(payload, &pos, &batch_count)) return WalDecodeError();
-        for (uint32_t b = 0; b < batch_count; ++b) {
-          uint64_t batch_id = 0;
-          std::string_view session;
-          uint32_t token_count = 0;
-          if (!GetU64(payload, &pos, &batch_id) ||
-              !GetLengthPrefixed(payload, &pos, &session) ||
-              !GetU32(payload, &pos, &token_count)) {
-            return WalDecodeError();
-          }
-          ReplayBatch& batch = pending[batch_id];
-          batch.session = std::string(session);
-          for (uint32_t t = 0; t < token_count; ++t) {
-            uint32_t index = 0;
-            std::string_view bytes;
-            if (!GetU32(payload, &pos, &index) ||
-                !GetLengthPrefixed(payload, &pos, &bytes)) {
-              return WalDecodeError();
-            }
-            batch.tokens.emplace(index, ReplayToken{0, std::string(bytes)});
-          }
-        }
-        return Status::OK();
-      }
-      case WalRecordType::kCheckpointV2: {
-        sessions.clear();
-        pending.clear();
-        ++info.checkpoints_seen;
-        std::string_view meta_blob;
-        if (!GetLengthPrefixed(payload, &pos, &meta_blob)) {
-          return WalDecodeError();
-        }
-        meta.assign(meta_blob);
-        uint32_t session_count = 0;
-        if (!GetU32(payload, &pos, &session_count)) return WalDecodeError();
-        for (uint32_t i = 0; i < session_count; ++i) {
-          std::string_view name;
-          uint64_t seq = 0;
-          if (!GetLengthPrefixed(payload, &pos, &name) ||
-              !GetU64(payload, &pos, &seq)) {
-            return WalDecodeError();
-          }
-          sessions[std::string(name)] = seq;
-        }
-        uint32_t batch_count = 0;
-        if (!GetU32(payload, &pos, &batch_count)) return WalDecodeError();
-        for (uint32_t b = 0; b < batch_count; ++b) {
-          uint64_t batch_id = 0;
-          std::string_view session;
-          uint32_t token_count = 0;
-          if (!GetU64(payload, &pos, &batch_id) ||
-              !GetLengthPrefixed(payload, &pos, &session) ||
-              !GetU32(payload, &pos, &token_count)) {
-            return WalDecodeError();
-          }
-          ReplayBatch& batch = pending[batch_id];
-          batch.session = std::string(session);
-          for (uint32_t t = 0; t < token_count; ++t) {
-            uint32_t index = 0;
-            uint64_t seq = 0;
-            std::string_view bytes;
-            if (!GetU32(payload, &pos, &index) ||
-                !GetU64(payload, &pos, &seq) ||
-                !GetLengthPrefixed(payload, &pos, &bytes)) {
-              return WalDecodeError();
-            }
-            batch.tokens.emplace(index, ReplayToken{seq, std::string(bytes)});
-          }
-        }
-        return Status::OK();
-      }
-    }
-    return Status::Corruption("wal: unknown record type");
-  }));
-
-  // Install the recovered state and re-stage every surviving token.
-  const uint32_t parts = std::max(1u, options_.condition_partitions);
-  std::vector<Task> tasks;
-  {
-    std::lock_guard<std::mutex> lock(wal_mutex_);
-    wal_sessions_ = sessions;
-    wal_meta_ = meta;
-    for (const auto& [batch_id, batch] : pending) {
-      PendingBatch& out = wal_pending_[batch_id];
-      out.session = batch.session;
-      for (const auto& [index, token] : batch.tokens) {
-        out.tokens[index] = PendingToken{token.bytes, token.seq, parts, false};
-      }
-    }
-  }
-  for (const auto& [batch_id, batch] : pending) {
-    for (const auto& [index, token] : batch.tokens) {
-      TMAN_ASSIGN_OR_RETURN(UpdateDescriptor descriptor,
-                            UpdateDescriptor::Deserialize(token.bytes));
-      AppendWalTokenTasks(descriptor, batch_id, index, &tasks);
-      ++info.tokens_replayed;
-    }
-    ++info.batches_replayed;
-  }
-  info.sessions_restored = sessions.size();
-  task_queue_.PushBatch(std::move(tasks));
-  last_recovery_ = info;
-  return Status::OK();
-}
-
-uint64_t TriggerManager::RecoveredSessionSeq(
-    const std::string& session) const {
-  std::lock_guard<std::mutex> lock(wal_mutex_);
-  auto it = wal_sessions_.find(session);
-  return it == wal_sessions_.end() ? 0 : it->second;
-}
-
-uint64_t TriggerManager::WalPendingTokens() const {
-  std::lock_guard<std::mutex> lock(wal_mutex_);
-  uint64_t n = 0;
-  for (const auto& [batch_id, batch] : wal_pending_) {
-    n += batch.tokens.size();
-  }
-  return n;
-}
-
-uint64_t TriggerManager::FenceWalSessions(
-    const std::map<std::string, uint64_t>& fences) {
-  std::lock_guard<std::mutex> lock(wal_mutex_);
-  // A fence is one-shot: it names the re-route point of ONE death
-  // verdict, and everything staged on the session up to the moment the
-  // fence first arrives (recovered from the dead incarnation's WAL, or
-  // staged live from the dead channel's still-buffered sends) with a seq
-  // above it was re-routed elsewhere and must not fire here. Work staged
-  // AFTER that first application is post-rejoin traffic at higher seqs —
-  // but fences ride every subsequent map install (and survive router
-  // restarts), so re-applying the same fence point later would swallow
-  // acked live tokens that nobody re-routed. Remember what was applied
-  // and only fence forward progress; a reboot clears the memory, which
-  // is exactly right — recovered tokens need the fence again.
-  std::map<std::string, uint64_t> fresh;
-  for (const auto& [session, seq] : fences) {
-    auto applied = wal_fences_applied_.find(session);
-    if (applied != wal_fences_applied_.end() && applied->second >= seq) {
-      continue;
-    }
-    fresh[session] = seq;
-    wal_fences_applied_[session] = seq;
-  }
-  if (fresh.empty()) return 0;
-  uint64_t fenced = 0;
-  for (auto& [batch_id, batch] : wal_pending_) {
-    auto fence = fresh.find(batch.session);
-    if (fence == fresh.end()) continue;
-    for (auto& [index, token] : batch.tokens) {
-      if (token.seq != 0 && token.seq > fence->second && !token.fenced) {
-        token.fenced = true;
-        ++fenced;
-      }
-    }
-  }
-  return fenced;
-}
-
-bool TriggerManager::IsWalTokenFenced(uint64_t batch_id,
-                                      uint32_t index) const {
-  std::lock_guard<std::mutex> lock(wal_mutex_);
-  auto it = wal_pending_.find(batch_id);
-  if (it == wal_pending_.end()) return false;
-  auto tok = it->second.tokens.find(index);
-  return tok != it->second.tokens.end() && tok->second.fenced;
-}
-
-Status TriggerManager::SetDurableMeta(std::string_view blob) {
-  if (wal_ == nullptr) {
-    return Status::NotSupported("durable staging is not enabled");
-  }
-  uint64_t lsn = 0;
-  {
-    std::lock_guard<std::mutex> lock(wal_mutex_);
-    auto appended = wal_->Append(WalRecordType::kMeta, blob);
-    if (!appended.ok()) return appended.status();
-    lsn = *appended;
-    wal_meta_.assign(blob);
-  }
-  return wal_->Commit(lsn);
-}
-
-std::string TriggerManager::RecoveredMeta() const {
-  std::lock_guard<std::mutex> lock(wal_mutex_);
-  return wal_meta_;
 }
 
 Status TriggerManager::ProcessPending() {
@@ -1543,9 +999,9 @@ TriggerManagerStats TriggerManager::stats() const {
   st.actions = actions_->stats();
   st.cache = cache_->stats();
   st.predicates = pindex_->stats();
-  if (wal_ != nullptr) {
-    st.wal = wal_->stats();
-    st.wal_pending_tokens = WalPendingTokens();
+  if (wal_enabled()) {
+    st.wal = log_.wal()->stats();
+    st.wal_pending_tokens = log_.PendingTokens();
   }
   st.stages = stage_metrics_.Snapshot();
   st.stages.queue_depth = task_queue_.size();

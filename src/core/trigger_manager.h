@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "core/events.h"
 #include "core/trigger.h"
 #include "core/trigger_directory.h"
+#include "core/update_log.h"
 #include "db/database.h"
 #include "expr/token_batch.h"
 #include "predindex/predicate_index.h"
@@ -27,7 +29,6 @@
 #include "runtime/driver.h"
 #include "runtime/stage_metrics.h"
 #include "runtime/task_queue.h"
-#include "storage/wal.h"
 
 namespace tman {
 
@@ -42,9 +43,6 @@ struct TriggerManagerOptions {
 
   /// Driver/TmanTest configuration (§6).
   DriverConfig driver_config;
-
-  /// A-TREAT construction policy.
-  ATreatOptions network_options;
 
   /// §3's "persistent update queuing": stage update descriptors durably
   /// in the write-ahead log before acknowledging them. Either this or
@@ -89,25 +87,6 @@ struct TriggerManagerOptions {
   /// Hysteresis knobs and cost-model calibration for the re-optimizer.
   AdaptPolicy adapt_policy;
   CostModelParams cost_model;
-};
-
-/// Durable identity of a submitted batch: the session it came from and
-/// the per-token sequence numbers the IPC layer assigned. Logged with the
-/// batch so per-session exactly-once dedup survives a restart; ack_seq is
-/// the session high-water mark after this batch (it also covers tokens
-/// the server deduplicated or rejected, which carry no payload here).
-struct BatchStamp {
-  std::string session;
-  uint64_t ack_seq = 0;
-  std::vector<uint64_t> seqs;  // parallel to the submitted tokens
-};
-
-/// What WAL recovery found and re-staged during Open().
-struct WalRecoveryInfo {
-  uint64_t batches_replayed = 0;
-  uint64_t tokens_replayed = 0;
-  uint64_t checkpoints_seen = 0;
-  uint64_t sessions_restored = 0;
 };
 
 /// Aggregate statistics.
@@ -244,24 +223,27 @@ class TriggerManager {
 
   // --- durability ------------------------------------------------------------
 
-  bool wal_enabled() const { return wal_ != nullptr; }
-  Wal* wal() { return wal_.get(); }
+  // Forwarders to the durable mode's UpdateLog (core/update_log.h).
+  bool wal_enabled() const { return log_.wal() != nullptr; }
+  Wal* wal() { return log_.wal(); }
 
   /// Highest acknowledged sequence recovered (or logged) for `session` —
   /// the IPC server seeds reconnecting sessions from this so an
   /// idempotent resend after a crash is deduplicated.
-  uint64_t RecoveredSessionSeq(const std::string& session) const;
+  uint64_t RecoveredSessionSeq(const std::string& session) const {
+    return log_.SessionSeq(session);
+  }
 
   /// Logs a checkpoint record (live sessions + unprocessed tokens),
   /// commits it and truncates the log prefix it makes dead. Called
   /// automatically when the log exceeds wal_checkpoint_bytes.
-  Status CheckpointWal();
+  Status CheckpointWal() { return log_.Checkpoint(); }
 
   /// What the last Open() replayed from the WAL.
-  const WalRecoveryInfo& last_recovery() const { return last_recovery_; }
+  const WalRecoveryInfo& last_recovery() const { return log_.recovery(); }
 
   /// Durable tokens whose processing has not completed yet.
-  uint64_t WalPendingTokens() const;
+  uint64_t WalPendingTokens() const { return log_.PendingTokens(); }
 
   /// Cluster rejoin fencing: for each (session, fence) pair, marks every
   /// pending (staged-but-unprocessed) token of that session with
@@ -277,16 +259,18 @@ class TriggerManager {
   /// point) is applied at most once per process lifetime: later installs
   /// carrying the same fence must not swallow post-rejoin live traffic
   /// staged above the old fence point.
-  uint64_t FenceWalSessions(const std::map<std::string, uint64_t>& fences);
+  uint64_t FenceWalSessions(const std::map<std::string, uint64_t>& fences) {
+    return log_.Fence(fences);
+  }
 
   /// Durable metadata blob riding in the WAL (latest write wins, carried
   /// inside checkpoints so truncation preserves it). The cluster node
   /// stores its partition-map epoch here so a rejoining node can prove
   /// how stale its map is. SetDurableMeta group-commits before returning.
-  Status SetDurableMeta(std::string_view blob);
+  Status SetDurableMeta(std::string_view blob) { return log_.SetMeta(blob); }
 
   /// Last recovered (or set) durable meta blob; empty if none.
-  std::string RecoveredMeta() const;
+  std::string RecoveredMeta() const { return log_.Meta(); }
 
   /// Engine-wide processing hold, enforced inside the task queue: while
   /// paused no driver (threaded pool or external pumper) pops a task, so
@@ -365,27 +349,6 @@ class TriggerManager {
   /// installs the capture hook (no catalog write).
   Status RestoreLocalTableSource(const std::string& table);
 
-  /// Durable-path batch submission (WAL append + group commit + staging).
-  Status SubmitDurableBatch(const std::vector<UpdateDescriptor>& tokens,
-                            std::vector<Status>* per_update,
-                            const BatchStamp* stamp);
-
-  /// Like AppendTokenTasks, but each task reports back to the WAL
-  /// bookkeeping (MarkWalProcessed) when its partition completes.
-  void AppendWalTokenTasks(const UpdateDescriptor& token, uint64_t batch_id,
-                           uint32_t index, std::vector<Task>* out);
-
-  /// One partitioned task of (batch_id, index) finished; when the whole
-  /// token is done, appends a kProcessed marker (made durable by the
-  /// next commit round) and drops it from the pending map.
-  void MarkWalProcessed(uint64_t batch_id, uint32_t index);
-
-  /// Replays the WAL during Open(): rebuilds session dedup state, drops
-  /// processed tokens, re-stages the rest.
-  Status RecoverFromWal();
-
-  void MaybeCheckpointWal();
-
   /// Human-readable stats for the `stats` console/wire command.
   std::string StatsText() const;
 
@@ -395,8 +358,10 @@ class TriggerManager {
 
   /// Builds the token task(s) for one descriptor (one per condition
   /// partition) without pushing, so batch submission can hand the whole
-  /// set to TaskQueue::PushBatch in one call.
-  void AppendTokenTasks(const UpdateDescriptor& token, std::vector<Task>* out);
+  /// set to TaskQueue::PushBatch in one call. A token staged in the log
+  /// passes its `logged` slot; its tasks then report to the UpdateLog.
+  void AppendTokenTasks(const UpdateDescriptor& token, std::vector<Task>* out,
+                        std::optional<UpdateLog::Slot> logged = std::nullopt);
 
   /// Chunks `tokens` into groups of options_.batch_size and builds one
   /// ProcessTokenBatch task per (group, partition). batch_size <= 1
@@ -410,7 +375,7 @@ class TriggerManager {
   std::unique_ptr<TriggerCatalog> catalog_;
   std::unique_ptr<PredicateIndex> pindex_;
   std::unique_ptr<TriggerCache> cache_;
-  std::unique_ptr<Wal> wal_;  // durable ingestion log (persistent staging)
+  UpdateLog log_;  // durable mode's persistent update queue (the WAL)
   DataSourceRegistry registry_;
   EventManager events_;
   std::unique_ptr<ActionExecutor> actions_;
@@ -451,41 +416,6 @@ class TriggerManager {
   std::mutex adapt_thread_mutex_;
   std::condition_variable adapt_thread_cv_;
   bool adapt_stop_ = false;
-
-  /// True when cluster fencing marked this pending token as not-to-run.
-  bool IsWalTokenFenced(uint64_t batch_id, uint32_t index) const;
-
-  // --- WAL bookkeeping (guarded by wal_mutex_) -------------------------------
-  struct PendingToken {
-    std::string serialized;
-    uint64_t seq = 0;  // session sequence (0 = unstamped submitter)
-    uint32_t remaining_parts = 1;
-    bool fenced = false;  // see FenceWalSessions
-  };
-  struct PendingBatch {
-    std::string session;
-    std::map<uint32_t, PendingToken> tokens;  // index -> token
-  };
-  mutable std::mutex wal_mutex_;
-  // Durable-but-unprocessed tokens, keyed by batch id (the batch record's
-  // end LSN). Checkpoints snapshot exactly this map plus wal_sessions_.
-  std::map<uint64_t, PendingBatch> wal_pending_;
-  // Batches registered in wal_pending_ whose group commit has not resolved
-  // yet. CheckpointWal waits for this to drain before snapshotting: a
-  // batch whose commit fails is erased and its session seq rolled back,
-  // so a checkpoint that listed it would durably resurrect it (and replay
-  // would fire it again after the client's dedup-passing resend).
-  uint64_t wal_commits_in_flight_ = 0;
-  std::condition_variable wal_inflight_cv_;
-  // Per-session acknowledged high-water marks (the durable dedup state).
-  std::map<std::string, uint64_t> wal_sessions_;
-  // Highest fence point already applied per session (FenceWalSessions);
-  // deliberately NOT durable — a reboot must re-fence recovered tokens.
-  std::map<std::string, uint64_t> wal_fences_applied_;
-  // Durable metadata blob (SetDurableMeta); latest record wins on replay.
-  std::string wal_meta_;
-  std::atomic<bool> wal_checkpointing_{false};
-  WalRecoveryInfo last_recovery_;
 };
 
 }  // namespace tman

@@ -22,7 +22,8 @@ namespace tman {
 using Lsn = uint64_t;
 
 /// Record types understood by the ingestion WAL. The WAL itself treats
-/// payloads as opaque bytes; TriggerManager defines the payload encodings.
+/// payloads as opaque bytes; UpdateLog (core/update_log.h) defines the
+/// payload encodings.
 /// Bytes of framing each record adds to the stream (type + length +
 /// checksum); a record appended at end LSN `e` with payload size `p`
 /// starts at `e - p - kWalRecordOverhead`.

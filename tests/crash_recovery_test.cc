@@ -87,15 +87,18 @@ TriggerManagerOptions DurableOptions() {
 /// Runs one kill-and-recover cycle into `oracle`. `arm` (may be empty)
 /// arms the fault injector after setup; `stat_site` (may be empty) names
 /// the site whose injected-fault count to report; `run_drivers` controls
-/// whether pre-kill tokens get processed at all. EXPECTs the durability
-/// invariants; `context` tags every failure message.
+/// whether pre-kill tokens get processed at all; `partitions` is the
+/// engine's condition_partitions, so a token completes only after that
+/// many tasks. EXPECTs the durability invariants; `context` tags every
+/// failure message.
 void RunCycle(Oracle* oracle, uint64_t seed,
               const std::function<void(FaultInjector*)>& arm,
               const std::string& stat_site, bool run_drivers,
-              const std::string& context) {
+              uint32_t partitions, const std::string& context) {
   Database db;
   FaultInjector* faults = db.disk()->fault_injector();
   TriggerManagerOptions opts = DurableOptions();
+  opts.condition_partitions = partitions;
   Schema feed({{"id", DataType::kInt}});
   DataSourceId ds = 0;
 
@@ -301,7 +304,7 @@ TEST(CrashRecoveryTest, CleanKillReplaysAckedUnprocessedExactlyOnce) {
   // No drivers: every acked token is still unprocessed at the kill.
   Oracle o;
   RunCycle(&o, /*seed=*/7, /*arm=*/{}, /*stat_site=*/"",
-           /*run_drivers=*/false, "clean");
+           /*run_drivers=*/false, /*partitions=*/1, "clean");
   EXPECT_FALSE(o.crashed);
   EXPECT_EQ(o.acked.size(),
             static_cast<size_t>(2 * kBatchesPerSession * kTokensPerBatch));
@@ -326,22 +329,28 @@ TEST(CrashRecoveryTest, KillAndRecoverAtEveryRegisteredFaultSite) {
     sites = db.disk()->fault_injector()->RegisteredSites();
   }
   ASSERT_FALSE(sites.empty());
-  for (const std::string& site : sites) {
-    // The workload must be able to reach every wal/disk crash point;
-    // buffer.* sites are enumerated and armed too, but some
-    // (buffer.flush) have no durable-path caller mid-workload.
-    if (site.rfind("wal.", 0) == 0 || site.rfind("disk.", 0) == 0) {
-      must_trip.insert(site);
-    }
-    for (uint64_t hits : {0u, 1u, 4u}) {
-      std::string context = site + "/hits=" + std::to_string(hits) +
-                            "/seed=" + std::to_string(seed);
-      Oracle o;
-      RunCycle(&o, seed++,
-               [&](FaultInjector* f) { f->ArmCountdown(site, hits); },
-               /*stat_site=*/site, /*run_drivers=*/true, context);
-      tripped[site] += o.site_faults;
-      if (::testing::Test::HasFatalFailure()) return;
+  // Condition partitions outermost: the single-partition sweep keeps its
+  // seeds, and the four-partition sweep kills tokens mid-countdown.
+  for (uint32_t partitions : {1u, 4u}) {
+    for (const std::string& site : sites) {
+      // The workload must be able to reach every wal/disk crash point;
+      // buffer.* sites are enumerated and armed too, but some
+      // (buffer.flush) have no durable-path caller mid-workload.
+      if (site.rfind("wal.", 0) == 0 || site.rfind("disk.", 0) == 0) {
+        must_trip.insert(site);
+      }
+      for (uint64_t hits : {0u, 1u, 4u}) {
+        std::string context = site + "/hits=" + std::to_string(hits) +
+                              "/partitions=" + std::to_string(partitions) +
+                              "/seed=" + std::to_string(seed);
+        Oracle o;
+        RunCycle(&o, seed++,
+                 [&](FaultInjector* f) { f->ArmCountdown(site, hits); },
+                 /*stat_site=*/site, /*run_drivers=*/true, partitions,
+                 context);
+        tripped[site] += o.site_faults;
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
   for (const std::string& site : must_trip) {
@@ -353,16 +362,19 @@ TEST(CrashRecoveryTest, KillAndRecoverAtEveryRegisteredFaultSite) {
 // --- seeded randomized storms ------------------------------------------
 
 TEST(CrashRecoveryTest, SeededFaultStormsRecover) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    std::string context = "storm/seed=" + std::to_string(seed);
-    Oracle o;
-    RunCycle(&o, seed,
-             [&](FaultInjector* f) {
-               f->ArmProbability("wal.*", 0.04, seed * 13 + 1);
-               f->ArmProbability("disk.sync", 0.02, seed * 13 + 2);
-             },
-             /*stat_site=*/"", /*run_drivers=*/true, context);
-    if (::testing::Test::HasFatalFailure()) return;
+  for (uint32_t partitions : {1u, 4u}) {
+    for (uint64_t seed = 1; seed <= 12; ++seed) {
+      std::string context = "storm/partitions=" + std::to_string(partitions) +
+                            "/seed=" + std::to_string(seed);
+      Oracle o;
+      RunCycle(&o, seed,
+               [&](FaultInjector* f) {
+                 f->ArmProbability("wal.*", 0.04, seed * 13 + 1);
+                 f->ArmProbability("disk.sync", 0.02, seed * 13 + 2);
+               },
+               /*stat_site=*/"", /*run_drivers=*/true, partitions, context);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 
