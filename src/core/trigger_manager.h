@@ -72,7 +72,8 @@ struct TriggerManagerOptions {
   bool durable_wal = false;
 
   /// Checkpoint the WAL (snapshot live state, truncate the dead prefix)
-  /// once it retains more than this many bytes.
+  /// once it retains more than this many bytes beyond the last checkpoint
+  /// record.
   uint64_t wal_checkpoint_bytes = 256 * 1024;
 
   /// Online adaptive re-optimization: Start() also spawns a background

@@ -310,7 +310,9 @@ void UpdateLog::Done(uint64_t batch_id, uint32_t index) {
 }
 
 void UpdateLog::MaybeCheckpoint() {
-  if (wal_->RetainedBytes() <= checkpoint_bytes_) return;
+  const uint64_t retained = wal_->RetainedBytes();
+  const uint64_t last = last_checkpoint_bytes_.load();
+  if (retained <= last || retained - last <= checkpoint_bytes_) return;
   Status s = Checkpoint();
   if (!s.ok()) {
     TMAN_LOG(kWarn) << "wal checkpoint failed: " << s.ToString();
@@ -367,6 +369,7 @@ Status UpdateLog::Checkpoint() {
   if (result.ok()) {
     // Everything before the checkpoint record is dead; a failed truncate
     // only costs log space, never correctness.
+    last_checkpoint_bytes_.store(payload.size() + kWalRecordOverhead);
     Lsn record_start = end_lsn - payload.size() - kWalRecordOverhead;
     Status trunc = wal_->Truncate(record_start);
     if (!trunc.ok()) {

@@ -90,7 +90,9 @@ class UpdateLog {
   void Done(uint64_t batch_id, uint32_t index);
 
   /// After Open(): Checkpoint() once the log retains more than
-  /// `checkpoint_bytes`.
+  /// `checkpoint_bytes` beyond the last checkpoint record. The record
+  /// itself does not count: a backlog that is never Done() would otherwise
+  /// re-snapshot on every Stage once it outgrew `checkpoint_bytes`.
   void MaybeCheckpoint();
 
   /// Logs a kCheckpointV2 record (meta blob, sessions, pending tokens),
@@ -160,6 +162,9 @@ class UpdateLog {
   // Durable metadata blob (SetMeta); latest record wins on replay.
   std::string meta_;
   std::atomic<bool> checkpointing_{false};
+  // Size of the last checkpoint record (header included); MaybeCheckpoint
+  // discounts it.
+  std::atomic<uint64_t> last_checkpoint_bytes_{0};
   WalRecoveryInfo recovery_;
 };
 

@@ -237,24 +237,21 @@ Status Database::Scan(
   return inner;
 }
 
-Result<std::vector<Rid>> Database::IndexLookup(
-    const std::string& index_name, const std::vector<Value>& key) const {
-  BPTree* tree;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_owner_.find(ToLower(index_name));
-    if (it == index_owner_.end()) {
-      return Status::NotFound("no such index: " + index_name);
-    }
-    tree = nullptr;
+Result<BPTree*> Database::FindIndexTree(const std::string& index_name) const {
+  std::string iname = ToLower(index_name);
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = index_owner_.find(iname);
+  if (it != index_owner_.end()) {
     for (const auto& idx : it->second->indexes) {
-      if (idx->name == ToLower(index_name)) {
-        tree = idx->tree.get();
-        break;
-      }
+      if (idx->name == iname) return idx->tree.get();
     }
   }
-  if (tree == nullptr) return Status::NotFound("no such index: " + index_name);
+  return Status::NotFound("no such index: " + index_name);
+}
+
+Result<std::vector<Rid>> Database::IndexLookup(
+    const std::string& index_name, const std::vector<Value>& key) const {
+  TMAN_ASSIGN_OR_RETURN(BPTree * tree, FindIndexTree(index_name));
   return tree->SearchEqual(key);
 }
 
@@ -264,21 +261,7 @@ Status Database::IndexRange(
     const std::optional<std::vector<Value>>& hi, bool hi_inclusive,
     const std::function<bool(const std::vector<Value>&, const Rid&)>& fn)
     const {
-  BPTree* tree = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_owner_.find(ToLower(index_name));
-    if (it == index_owner_.end()) {
-      return Status::NotFound("no such index: " + index_name);
-    }
-    for (const auto& idx : it->second->indexes) {
-      if (idx->name == ToLower(index_name)) {
-        tree = idx->tree.get();
-        break;
-      }
-    }
-  }
-  if (tree == nullptr) return Status::NotFound("no such index: " + index_name);
+  TMAN_ASSIGN_OR_RETURN(BPTree * tree, FindIndexTree(index_name));
   return tree->SearchRange(lo, lo_inclusive, hi, hi_inclusive, fn);
 }
 

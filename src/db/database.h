@@ -124,6 +124,8 @@ class Database {
   };
 
   Result<TableInfo*> Find(const std::string& name) const;
+  /// The tree of index `index_name` (any case); takes mutex_.
+  Result<BPTree*> FindIndexTree(const std::string& index_name) const;
   static std::vector<Value> IndexKey(const IndexInfo& idx, const Tuple& t);
 
   std::unique_ptr<DiskManager> disk_;

@@ -12,9 +12,11 @@ namespace {
 // Node layout:
 //   [0]      u8  is_leaf
 //   [2..4)   u16 slot_count
-//   [4..6)   u16 data_start
+//   [4..6)   u16 data_start (lowest entry byte; the free gap ends here)
 //   [6..10)  u32 next_leaf (leaf) / leftmost child (internal)
 //   [12..)   slot array {u16 off, u16 len}, kept in key order
+// Entries live in [data_start, kPageSize) in any physical order; deletes
+// leave holes there that the next compaction reclaims.
 // Entry bytes:
 //   leaf:     [u16 klen][key bytes][rid: u32 page, u16 slot]
 //   internal: [u16 klen][key bytes][rid: 6 bytes][child: u32]
@@ -40,6 +42,7 @@ void PutU32(char* p, uint32_t v) { std::memcpy(p, &v, 4); }
 
 bool IsLeaf(const char* d) { return d[0] != 0; }
 uint16_t SlotCount(const char* d) { return GetU16(d + 2); }
+uint16_t DataStart(const char* d) { return GetU16(d + 4); }
 PageId Link(const char* d) { return GetU32(d + 6); }
 void SetLink(char* d, PageId v) { PutU32(d + 6, v); }
 
@@ -67,23 +70,24 @@ std::string_view EntryRaw(const char* d, uint16_t slot) {
   return std::string_view(d + off, len);
 }
 
+size_t EntrySize(size_t key_len, bool is_leaf) {
+  return 2 + key_len + kRidSize + (is_leaf ? 0 : 4);
+}
+
+void WriteEntry(char* out, std::string_view key_bytes, const Rid& rid,
+                PageId child, bool is_leaf) {
+  PutU16(out, static_cast<uint16_t>(key_bytes.size()));
+  std::memcpy(out + 2, key_bytes.data(), key_bytes.size());
+  char* p = out + 2 + key_bytes.size();
+  PutU32(p, rid.page_id);
+  PutU16(p + 4, rid.slot);
+  if (!is_leaf) PutU32(p + kRidSize, child);
+}
+
 std::string MakeEntry(std::string_view key_bytes, const Rid& rid,
                       PageId child, bool is_leaf) {
-  std::string out;
-  out.reserve(2 + key_bytes.size() + kRidSize + (is_leaf ? 0 : 4));
-  char klen[2];
-  PutU16(klen, static_cast<uint16_t>(key_bytes.size()));
-  out.append(klen, 2);
-  out.append(key_bytes);
-  char ridbuf[kRidSize];
-  PutU32(ridbuf, rid.page_id);
-  PutU16(ridbuf + 4, rid.slot);
-  out.append(ridbuf, kRidSize);
-  if (!is_leaf) {
-    char cbuf[4];
-    PutU32(cbuf, child);
-    out.append(cbuf, 4);
-  }
+  std::string out(EntrySize(key_bytes.size(), is_leaf), '\0');
+  WriteEntry(out.data(), key_bytes, rid, child, is_leaf);
   return out;
 }
 
@@ -106,14 +110,20 @@ int CompareRid(const Rid& a, const Rid& b) {
   return 0;
 }
 
-/// (entry key, entry rid) vs (target key, target rid).
-int CmpEntryToTarget(std::string_view entry_key, const Rid& entry_rid,
-                     const std::vector<Value>& target_key,
+/// (entry key, entry rid) vs (target key, target rid), comparing the
+/// entry's encoded key bytes in place.
+int CmpEntryToTarget(const EntryView& e, const std::vector<Value>& target_key,
                      const Rid& target_rid) {
-  std::vector<Value> vals = DecodeKey(entry_key);
-  int c = CompareValues(vals, target_key);
+  int c = Tuple::CompareSerialized(e.key, target_key);
   if (c != 0) return c;
-  return CompareRid(entry_rid, target_rid);
+  return CompareRid(e.rid, target_rid);
+}
+
+/// True when slot `pos` of leaf `d` exists and holds exactly (key, rid).
+bool LeafHolds(const char* d, uint16_t pos, const std::vector<Value>& key,
+               const Rid& rid) {
+  return pos < SlotCount(d) &&
+         CmpEntryToTarget(ParseEntry(EntryRaw(d, pos), true), key, rid) == 0;
 }
 
 constexpr Rid kMinRid{0, 0};
@@ -145,10 +155,64 @@ std::vector<std::string> CollectEntries(const char* d) {
   return out;
 }
 
-size_t TotalSize(const std::vector<std::string>& entries) {
-  size_t sz = kNodeHeader + entries.size() * kSlotSize;
-  for (const auto& e : entries) sz += e.size();
+/// Bytes the node occupies without holes: header, slots and live entries.
+size_t LiveSize(const char* d) {
+  uint16_t n = SlotCount(d);
+  size_t sz = kNodeHeader + n * kSlotSize;
+  for (uint16_t i = 0; i < n; ++i) {
+    sz += GetU16(d + kNodeHeader + i * kSlotSize + 2);
+  }
   return sz;
+}
+
+/// Repacks the live entries at the page end in slot order — the layout
+/// RebuildNode produces — reclaiming the holes deletes left.
+void Compact(char* d) {
+  char old[kPageSize];
+  std::memcpy(old, d, kPageSize);
+  const uint16_t n = SlotCount(d);
+  size_t data_start = kPageSize;
+  for (uint16_t i = 0; i < n; ++i) {
+    std::string_view e = EntryRaw(old, i);
+    data_start -= e.size();
+    std::memcpy(d + data_start, e.data(), e.size());
+    PutU16(d + kNodeHeader + i * kSlotSize, static_cast<uint16_t>(data_start));
+  }
+  const size_t slots_end = kNodeHeader + n * kSlotSize;
+  std::memset(d + slots_end, 0, data_start - slots_end);
+  PutU16(d + 4, static_cast<uint16_t>(data_start));
+}
+
+/// Inserts an entry at slot `pos`: written into the free gap when it fits
+/// there, after a compaction when only the holes make room. Returns false,
+/// leaving the node untouched, when even the compacted node cannot hold it
+/// (the caller splits).
+bool InsertInPlace(char* d, uint16_t pos, std::string_view key_bytes,
+                   const Rid& rid, PageId child) {
+  const bool leaf = IsLeaf(d);
+  const size_t size = EntrySize(key_bytes.size(), leaf);
+  const uint16_t n = SlotCount(d);
+  if (DataStart(d) < kNodeHeader + (n + 1) * kSlotSize + size) {
+    if (LiveSize(d) + kSlotSize + size > kPageSize) return false;
+    Compact(d);
+  }
+  const uint16_t off = static_cast<uint16_t>(DataStart(d) - size);
+  WriteEntry(d + off, key_bytes, rid, child, leaf);
+  char* slot = d + kNodeHeader + pos * kSlotSize;
+  std::memmove(slot + kSlotSize, slot, (n - pos) * kSlotSize);
+  PutU16(slot, off);
+  PutU16(slot + 2, static_cast<uint16_t>(size));
+  PutU16(d + 2, static_cast<uint16_t>(n + 1));
+  PutU16(d + 4, off);
+  return true;
+}
+
+/// Drops slot `pos`; its entry bytes become a hole.
+void RemoveSlot(char* d, uint16_t pos) {
+  const uint16_t n = SlotCount(d);
+  char* slot = d + kNodeHeader + pos * kSlotSize;
+  std::memmove(slot, slot + kSlotSize, (n - pos - 1) * kSlotSize);
+  PutU16(d + 2, static_cast<uint16_t>(n - 1));
 }
 
 /// Binary search: first slot whose (key, rid) >= target. Returns n if none.
@@ -159,8 +223,7 @@ uint16_t LowerBound(const char* d, const std::vector<Value>& key,
   uint16_t hi = SlotCount(d);
   while (lo < hi) {
     uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
-    EntryView e = ParseEntry(EntryRaw(d, mid), leaf);
-    if (CmpEntryToTarget(e.key, e.rid, key, rid) < 0) {
+    if (CmpEntryToTarget(ParseEntry(EntryRaw(d, mid), leaf), key, rid) < 0) {
       lo = static_cast<uint16_t>(mid + 1);
     } else {
       hi = mid;
@@ -180,14 +243,20 @@ uint16_t UpperBound(const char* d, const std::vector<Value>& key,
   uint16_t hi = SlotCount(d);
   while (lo < hi) {
     uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
-    EntryView e = ParseEntry(EntryRaw(d, mid), leaf);
-    if (CmpEntryToTarget(e.key, e.rid, key, rid) <= 0) {
+    if (CmpEntryToTarget(ParseEntry(EntryRaw(d, mid), leaf), key, rid) <= 0) {
       lo = static_cast<uint16_t>(mid + 1);
     } else {
       hi = mid;
     }
   }
   return lo;
+}
+
+/// The child of an internal node to the left of slot `pos` (its leftmost
+/// child when `pos` is 0).
+PageId ChildBefore(const char* d, uint16_t pos) {
+  if (pos == 0) return Link(d);
+  return ParseEntry(EntryRaw(d, pos - 1), /*is_leaf=*/false).child;
 }
 
 }  // namespace
@@ -231,7 +300,7 @@ Status BPTree::Insert(const std::vector<Value>& key, const Rid& rid) {
   }
   TMAN_ASSIGN_OR_RETURN(PageId root, Root());
   Promo promo;
-  TMAN_RETURN_IF_ERROR(InsertRec(root, key_bytes, rid, &promo));
+  TMAN_RETURN_IF_ERROR(InsertRec(root, key_bytes, key, rid, &promo));
   if (promo.happened) {
     // Grow the tree: new root with the old root as leftmost child.
     PageGuard fresh;
@@ -247,139 +316,131 @@ Status BPTree::Insert(const std::vector<Value>& key, const Rid& rid) {
   return Status::OK();
 }
 
-Status BPTree::InsertRec(PageId node, const std::string& key_bytes,
-                         const Rid& rid, Promo* promo) {
+Status BPTree::InsertRec(PageId node, std::string_view key_bytes,
+                         const std::vector<Value>& key, const Rid& rid,
+                         Promo* promo) {
   PageGuard guard;
   TMAN_RETURN_IF_ERROR(pool_->FetchPage(node, &guard));
-  char* d = guard.data();
-  bool leaf = IsLeaf(d);
-  std::vector<Value> key = DecodeKey(key_bytes);
+  const char* d = guard.data();
 
-  std::string new_entry;
-  if (leaf) {
+  if (IsLeaf(d)) {
     uint16_t pos = LowerBound(d, key, rid);
-    if (pos < SlotCount(d)) {
-      EntryView e = ParseEntry(EntryRaw(d, pos), true);
-      if (CmpEntryToTarget(e.key, e.rid, key, rid) == 0) {
-        return Status::OK();  // idempotent duplicate (key, rid)
-      }
+    if (LeafHolds(d, pos, key, rid)) {
+      return Status::OK();  // idempotent duplicate (key, rid)
     }
-    new_entry = MakeEntry(key_bytes, rid, kInvalidPageId, true);
-    std::vector<std::string> entries = CollectEntries(d);
-    entries.insert(entries.begin() + pos, new_entry);
-    if (TotalSize(entries) <= kPageSize) {
-      RebuildNode(d, true, Link(d), entries);
-      guard.MarkDirty();
-      return Status::OK();
-    }
-    // Split the leaf. Right sibling gets the upper half.
-    size_t mid = entries.size() / 2;
-    std::vector<std::string> left(entries.begin(), entries.begin() + mid);
-    std::vector<std::string> right(entries.begin() + mid, entries.end());
-    PageGuard rguard;
-    TMAN_RETURN_IF_ERROR(pool_->NewPage(&rguard));
-    RebuildNode(rguard.data(), true, Link(d), right);
-    rguard.MarkDirty();
-    RebuildNode(d, true, rguard.page_id(), left);
-    guard.MarkDirty();
-    promo->happened = true;
-    promo->sep = right.front();  // leaf entry: klen|key|rid — parseable
-    promo->right = rguard.page_id();
-    return Status::OK();
+    return InsertIntoNode(&guard, pos, key_bytes, rid, kInvalidPageId, promo);
   }
 
-  // Internal node: pick the child whose separator is the last one <= key
-  // (equality descends into the separator's own child).
+  // Internal node: descend into the child of the last separator <= key
+  // (equality descends into the separator's own child). The guard stays
+  // pinned across the recursion, so `d` stays valid.
   uint16_t pos = UpperBound(d, key, rid);
-  PageId child;
-  if (pos == 0) {
-    child = Link(d);  // leftmost child: all keys below the first separator
-  } else {
-    EntryView e = ParseEntry(EntryRaw(d, pos - 1), false);
-    child = e.child;
-  }
   Promo child_promo;
-  TMAN_RETURN_IF_ERROR(InsertRec(child, key_bytes, rid, &child_promo));
+  TMAN_RETURN_IF_ERROR(
+      InsertRec(ChildBefore(d, pos), key_bytes, key, rid, &child_promo));
   if (!child_promo.happened) return Status::OK();
 
-  // Re-fetch: recursion may have evicted our frame.
-  TMAN_RETURN_IF_ERROR(pool_->FetchPage(node, &guard));
-  d = guard.data();
+  // The child's new right sibling starts with a key above the separator we
+  // descended through and below the next one, so it lands at `pos`.
   EntryView sep = ParseEntry(child_promo.sep, /*is_leaf=*/true);
-  std::vector<Value> sep_key = DecodeKey(sep.key);
-  new_entry = MakeEntry(sep.key, sep.rid, child_promo.right, false);
-  uint16_t ipos = LowerBound(d, sep_key, sep.rid);
-  std::vector<std::string> entries = CollectEntries(d);
-  entries.insert(entries.begin() + ipos, new_entry);
-  if (TotalSize(entries) <= kPageSize) {
-    RebuildNode(d, false, Link(d), entries);
-    guard.MarkDirty();
+  assert(LowerBound(d, DecodeKey(sep.key), sep.rid) == pos);
+  return InsertIntoNode(&guard, pos, sep.key, sep.rid, child_promo.right,
+                        promo);
+}
+
+Status BPTree::InsertIntoNode(PageGuard* guard, uint16_t pos,
+                              std::string_view key_bytes, const Rid& rid,
+                              PageId child, Promo* promo) {
+  char* d = guard->data();
+  if (InsertInPlace(d, pos, key_bytes, rid, child)) {
+    guard->MarkDirty();
     return Status::OK();
   }
-  // Split the internal node: the middle entry moves up.
-  size_t mid = entries.size() / 2;
-  EntryView mid_e = ParseEntry(entries[mid], false);
-  std::vector<std::string> left(entries.begin(), entries.begin() + mid);
-  std::vector<std::string> right(entries.begin() + mid + 1, entries.end());
+  const bool leaf = IsLeaf(d);
+  std::vector<std::string> entries = CollectEntries(d);
+  entries.insert(entries.begin() + pos,
+                 MakeEntry(key_bytes, rid, child, leaf));
+  const size_t mid = entries.size() / 2;
   PageGuard rguard;
   TMAN_RETURN_IF_ERROR(pool_->NewPage(&rguard));
-  RebuildNode(rguard.data(), false, mid_e.child, right);
+  if (leaf) {
+    // The right sibling gets the upper half; its first entry (leaf format:
+    // klen|key|rid) is the separator.
+    RebuildNode(rguard.data(), true, Link(d),
+                std::vector<std::string>(entries.begin() + mid, entries.end()));
+    promo->sep = entries[mid];
+    entries.resize(mid);
+    RebuildNode(d, true, rguard.page_id(), entries);
+  } else {
+    // The middle entry moves up; its child becomes the right node's
+    // leftmost child.
+    EntryView mid_e = ParseEntry(entries[mid], false);
+    RebuildNode(
+        rguard.data(), false, mid_e.child,
+        std::vector<std::string>(entries.begin() + mid + 1, entries.end()));
+    promo->sep = MakeEntry(mid_e.key, mid_e.rid, kInvalidPageId, true);
+    entries.resize(mid);
+    RebuildNode(d, false, Link(d), entries);
+  }
   rguard.MarkDirty();
-  RebuildNode(d, false, Link(d), left);
-  guard.MarkDirty();
+  guard->MarkDirty();
   promo->happened = true;
-  promo->sep = MakeEntry(mid_e.key, mid_e.rid, kInvalidPageId, true);
   promo->right = rguard.page_id();
   return Status::OK();
 }
 
-Result<PageId> BPTree::DescendToLeaf(const std::string& target) const {
-  EntryView t = ParseEntry(target, true);
-  std::vector<Value> key = DecodeKey(t.key);
+Status BPTree::DescendToLeaf(const std::vector<Value>* key, const Rid& rid,
+                             PageGuard* leaf) const {
   TMAN_ASSIGN_OR_RETURN(PageId node, Root());
   while (true) {
-    PageGuard guard;
-    TMAN_RETURN_IF_ERROR(pool_->FetchPage(node, &guard));
+    TMAN_RETURN_IF_ERROR(pool_->FetchPage(node, leaf));
+    const char* d = leaf->data();
+    if (IsLeaf(d)) return Status::OK();
+    node = key == nullptr ? Link(d) : ChildBefore(d, UpperBound(d, *key, rid));
+  }
+}
+
+template <typename Visit>
+Status BPTree::WalkLeaves(const std::vector<Value>* key, const Rid& rid,
+                          Visit visit) const {
+  PageGuard guard;
+  TMAN_RETURN_IF_ERROR(DescendToLeaf(key, rid, &guard));
+  uint16_t pos = key == nullptr ? 0 : LowerBound(guard.data(), *key, rid);
+  while (true) {
     const char* d = guard.data();
-    if (IsLeaf(d)) return node;
-    uint16_t pos = UpperBound(d, key, t.rid);
-    if (pos == 0) {
-      node = Link(d);
-    } else {
-      node = ParseEntry(EntryRaw(d, pos - 1), false).child;
+    for (uint16_t n = SlotCount(d); pos < n; ++pos) {
+      EntryView e = ParseEntry(EntryRaw(d, pos), true);
+      if (!visit(e.key, e.rid)) return Status::OK();
     }
+    PageId next = Link(d);
+    if (next == kInvalidPageId) return Status::OK();
+    TMAN_RETURN_IF_ERROR(pool_->FetchPage(next, &guard));
+    pos = 0;
   }
 }
 
 Status BPTree::Delete(const std::vector<Value>& key, const Rid& rid) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string target = MakeEntry(EncodeKey(key), rid, kInvalidPageId, true);
-  TMAN_ASSIGN_OR_RETURN(PageId leaf, DescendToLeaf(target));
   PageGuard guard;
-  TMAN_RETURN_IF_ERROR(pool_->FetchPage(leaf, &guard));
+  TMAN_RETURN_IF_ERROR(DescendToLeaf(&key, rid, &guard));
   char* d = guard.data();
   uint16_t pos = LowerBound(d, key, rid);
-  if (pos >= SlotCount(d)) {
+  if (!LeafHolds(d, pos, key, rid)) {
     return Status::NotFound("index entry not found");
   }
-  EntryView e = ParseEntry(EntryRaw(d, pos), true);
-  if (CmpEntryToTarget(e.key, e.rid, key, rid) != 0) {
-    return Status::NotFound("index entry not found");
-  }
-  std::vector<std::string> entries = CollectEntries(d);
-  entries.erase(entries.begin() + pos);
-  RebuildNode(d, true, Link(d), entries);
+  RemoveSlot(d, pos);
   guard.MarkDirty();
   return Status::OK();
 }
 
 Result<std::vector<Rid>> BPTree::SearchEqual(
     const std::vector<Value>& key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Rid> out;
-  TMAN_RETURN_IF_ERROR(SearchRange(
-      key, true, key, true,
-      [&out](const std::vector<Value>&, const Rid& rid) {
-        out.push_back(rid);
+  TMAN_RETURN_IF_ERROR(
+      WalkLeaves(&key, kMinRid, [&](std::string_view entry_key, const Rid& r) {
+        if (Tuple::CompareSerialized(entry_key, key) != 0) return false;
+        out.push_back(r);
         return true;
       }));
   return out;
@@ -391,50 +452,17 @@ Status BPTree::SearchRange(
     const std::function<bool(const std::vector<Value>&, const Rid&)>& fn)
     const {
   std::lock_guard<std::mutex> lock(mutex_);
-  PageId leaf;
-  uint16_t pos = 0;
-  if (lo.has_value()) {
-    // For inclusive bounds start at (lo, minimal rid); for exclusive
-    // bounds start just past every entry with key == lo.
-    const Rid& start_rid = lo_inclusive ? kMinRid : kMaxRid;
-    std::string target =
-        MakeEntry(EncodeKey(*lo), start_rid, kInvalidPageId, true);
-    TMAN_ASSIGN_OR_RETURN(leaf, DescendToLeaf(target));
-    PageGuard guard;
-    TMAN_RETURN_IF_ERROR(pool_->FetchPage(leaf, &guard));
-    pos = LowerBound(guard.data(), *lo, start_rid);
-  } else {
-    // Leftmost leaf.
-    TMAN_ASSIGN_OR_RETURN(PageId node, Root());
-    while (true) {
-      PageGuard guard;
-      TMAN_RETURN_IF_ERROR(pool_->FetchPage(node, &guard));
-      if (IsLeaf(guard.data())) {
-        leaf = node;
-        break;
-      }
-      node = Link(guard.data());
-    }
-  }
-
-  while (leaf != kInvalidPageId) {
-    PageGuard guard;
-    TMAN_RETURN_IF_ERROR(pool_->FetchPage(leaf, &guard));
-    const char* d = guard.data();
-    uint16_t n = SlotCount(d);
-    for (; pos < n; ++pos) {
-      EntryView e = ParseEntry(EntryRaw(d, pos), true);
-      std::vector<Value> vals = DecodeKey(e.key);
-      if (hi.has_value()) {
-        int c = CompareValues(vals, *hi);
-        if (c > 0 || (c == 0 && !hi_inclusive)) return Status::OK();
-      }
-      if (!fn(vals, e.rid)) return Status::OK();
-    }
-    leaf = Link(d);
-    pos = 0;
-  }
-  return Status::OK();
+  // For inclusive bounds start at (lo, minimal rid); for exclusive bounds
+  // start just past every entry with key == lo.
+  const Rid& start_rid = lo_inclusive ? kMinRid : kMaxRid;
+  return WalkLeaves(lo.has_value() ? &*lo : nullptr, start_rid,
+                    [&](std::string_view entry_key, const Rid& r) {
+                      if (hi.has_value()) {
+                        int c = Tuple::CompareSerialized(entry_key, *hi);
+                        if (c > 0 || (c == 0 && !hi_inclusive)) return false;
+                      }
+                      return fn(DecodeKey(entry_key), r);
+                    });
 }
 
 Status BPTree::ScanAll(
@@ -457,9 +485,10 @@ Result<uint32_t> BPTree::Height() const {
 }
 
 Result<uint64_t> BPTree::NumEntries() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   uint64_t n = 0;
-  TMAN_RETURN_IF_ERROR(ScanAll(
-      [&n](const std::vector<Value>&, const Rid&) {
+  TMAN_RETURN_IF_ERROR(
+      WalkLeaves(nullptr, kMinRid, [&n](std::string_view, const Rid&) {
         ++n;
         return true;
       }));

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -26,8 +27,12 @@ namespace tman {
 /// entries whose user-key prefix matches.
 ///
 /// Deletion removes entries without rebalancing (pages may underflow, as
-/// in several production systems); space inside a node is reclaimed by
-/// compaction when the node next fills.
+/// in several production systems). Node edits happen in place: an insert
+/// writes into the node's free gap, a delete leaves a hole, and a node is
+/// compacted only when an insert needs the holes' space. Searches compare
+/// the stored key bytes against the decoded target without decoding them
+/// (Tuple::CompareSerialized), so probes and non-splitting edits allocate
+/// nothing beyond their results.
 class BPTree {
  public:
   /// Opens an existing tree whose metadata lives at `meta_page`.
@@ -77,11 +82,28 @@ class BPTree {
   Result<PageId> Root() const;
   Status SetRoot(PageId root);
 
-  Status InsertRec(PageId node, const std::string& entry_key, const Rid& rid,
+  /// Inserts (key_bytes = encoded `key`, rid) into the subtree at `node`.
+  Status InsertRec(PageId node, std::string_view key_bytes,
+                   const std::vector<Value>& key, const Rid& rid,
                    Promo* promo);
 
-  /// Descends to the leaf that may contain the first entry >= target.
-  Result<PageId> DescendToLeaf(const std::string& target) const;
+  /// Inserts an entry at slot `pos` of the pinned node, in place when the
+  /// node can hold it, else by splitting it (reported through `promo`).
+  Status InsertIntoNode(PageGuard* guard, uint16_t pos,
+                        std::string_view key_bytes, const Rid& rid,
+                        PageId child, Promo* promo);
+
+  /// Pins into `leaf` the leaf that may contain the first entry >=
+  /// (key, rid), or the leftmost leaf when `key` is null.
+  Status DescendToLeaf(const std::vector<Value>* key, const Rid& rid,
+                       PageGuard* leaf) const;
+
+  /// Calls `visit(key bytes, rid)` on leaf entries in order, starting at
+  /// the first >= (key, rid) (or the very first when `key` is null), until
+  /// it returns false.
+  template <typename Visit>
+  Status WalkLeaves(const std::vector<Value>* key, const Rid& rid,
+                    Visit visit) const;
 
   BufferPool* pool_;
   PageId meta_page_;

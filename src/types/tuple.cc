@@ -1,5 +1,6 @@
 #include "types/tuple.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace tman {
@@ -35,6 +36,11 @@ bool GetU64(std::string_view data, size_t* pos, uint64_t* v) {
   std::memcpy(v, data.data() + *pos, 8);
   *pos += 8;
   return true;
+}
+
+template <typename T>
+int Compare3(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
 }
 
 }  // namespace
@@ -110,6 +116,51 @@ Result<Tuple> Tuple::Deserialize(std::string_view data, size_t* pos) {
     }
   }
   return Tuple(std::move(values));
+}
+
+int Tuple::CompareSerialized(std::string_view data,
+                             const std::vector<Value>& target) {
+  // Mirrors Value::Compare: NULL first; int/int exact, other numeric pairs
+  // as doubles; every number before every string; then shorter first.
+  size_t pos = 0;
+  uint32_t count = 0;
+  GetU32(data, &pos, &count);
+  const size_t n = std::min<size_t>(count, target.size());
+  for (size_t i = 0; i < n; ++i) {
+    const Value& t = target[i];
+    const uint8_t tag = static_cast<uint8_t>(data[pos++]);
+    int c;
+    if (tag == kTagNull) {
+      c = t.is_null() ? 0 : -1;
+    } else if (tag == kTagString) {
+      uint32_t len = 0;
+      GetU32(data, &pos, &len);
+      std::string_view s = data.substr(pos, len);
+      pos += len;
+      c = t.is_string() ? Compare3(s.compare(t.as_string()), 0) : 1;
+    } else {
+      uint64_t raw = 0;
+      GetU64(data, &pos, &raw);
+      if (t.is_null()) {
+        c = 1;
+      } else if (t.is_string()) {
+        c = -1;
+      } else if (tag == kTagInt && t.is_int()) {
+        c = Compare3(static_cast<int64_t>(raw), t.as_int());
+      } else {
+        double d;
+        if (tag == kTagInt) {
+          d = static_cast<double>(static_cast<int64_t>(raw));
+        } else {
+          std::memcpy(&d, &raw, 8);
+        }
+        c = Compare3(d, t.AsDouble());
+      }
+    }
+    if (c != 0) return c;
+  }
+  if (count == target.size()) return 0;
+  return count < target.size() ? -1 : 1;
 }
 
 Result<Tuple> CoerceToSchema(const Tuple& tuple, const Schema& schema) {

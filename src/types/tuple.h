@@ -39,6 +39,13 @@ class Tuple {
   /// past the consumed bytes.
   static Result<Tuple> Deserialize(std::string_view data, size_t* pos);
 
+  /// Orders a well-formed Serialize()d tuple against `target` exactly as
+  /// CompareValues(Deserialize(data)->values(), target) does, without
+  /// decoding: no Value or vector is built, so index probes can compare
+  /// stored keys in place.
+  static int CompareSerialized(std::string_view data,
+                               const std::vector<Value>& target);
+
   std::string ToString() const { return ValuesToString(values_); }
 
  private:

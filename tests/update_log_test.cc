@@ -211,5 +211,41 @@ TEST(UpdateLogTest, BothCheckpointLayoutsDecodeToTheSamePendingSet) {
   }
 }
 
+TEST(UpdateLogTest, PausedBacklogIsNotRecheckpointedOnEveryStage) {
+  // 200 staged 64-token batches that never complete (a paused node): the
+  // backlog outgrows the 64 KiB threshold early on, and each checkpoint
+  // record then carries all of it. Checkpointing again only once another
+  // threshold's worth is appended keeps this linear.
+  constexpr uint64_t kThreshold = 64 * 1024;
+  constexpr int kBatches = 200;
+  constexpr int kTokensPerBatch = 64;
+  const std::string filler(40, 'x');
+  Database db;
+  {
+    UpdateLog log;
+    ASSERT_TRUE(log.Open(&db, 1, kThreshold).ok());
+    for (int b = 0; b < kBatches; ++b) {
+      std::vector<UpdateDescriptor> batch;
+      for (int i = 0; i < kTokensPerBatch; ++i) {
+        int64_t id = int64_t{b} * kTokensPerBatch + i;
+        batch.push_back(UpdateDescriptor::Insert(
+            1, Tuple({Value::Int(id), Value::String(filler)})));
+      }
+      ASSERT_TRUE(log.Stage(batch, nullptr).ok());
+      log.MaybeCheckpoint();
+    }
+    EXPECT_GT(log.wal()->stats().truncations, 0u);
+    EXPECT_LT(log.wal()->stats().truncations, 20u);
+    EXPECT_EQ(log.PendingTokens(), uint64_t{kBatches} * kTokensPerBatch);
+  }
+  UpdateLog reopened;
+  auto recovered = reopened.Open(&db, 1, kThreshold);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ(recovered->size(), size_t{kBatches} * kTokensPerBatch);
+  for (size_t i = 0; i < recovered->size(); ++i) {
+    ASSERT_EQ(IdOf((*recovered)[i]), static_cast<int64_t>(i));
+  }
+}
+
 }  // namespace
 }  // namespace tman

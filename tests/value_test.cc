@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "types/data_type.h"
 #include "types/schema.h"
 #include "types/tuple.h"
@@ -156,6 +161,38 @@ TEST(TupleTest, DeserializeTruncatedFails) {
     size_t pos = 0;
     auto r = Tuple::Deserialize(std::string_view(buf.data(), cut), &pos);
     EXPECT_FALSE(r.ok()) << "cut=" << cut;
+  }
+}
+
+TEST(TupleTest, CompareSerializedMatchesCompareValues) {
+  // Every pair over values whose order ties or nests across encodings:
+  // NULL, int/float of equal value, int64 extremes, NaN, the empty string,
+  // prefix strings and bytes above 0x7f; as 1- and 2-column keys, so that
+  // prefix keys and column-by-column ties occur.
+  const std::vector<Value> atoms = {
+      Value::Null(),           Value::Int(-3),
+      Value::Int(2),           Value::Float(2.0),
+      Value::Float(2.5),       Value::Float(-0.0),
+      Value::Int(0),           Value::Int(INT64_MAX),
+      Value::Int(INT64_MIN),   Value::Float(std::nan("")),
+      Value::String(""),       Value::String("ab"),
+      Value::String("abc"),    Value::String("\xff"),
+  };
+  std::vector<std::vector<Value>> keys = {{}};
+  for (const Value& a : atoms) {
+    keys.push_back({a});
+    for (const Value& b : {Value::Null(), Value::Int(2), Value::String("")}) {
+      keys.push_back({a, b});
+    }
+  }
+  for (const auto& stored : keys) {
+    std::string bytes;
+    Tuple(stored).Serialize(&bytes);
+    for (const auto& target : keys) {
+      EXPECT_EQ(Tuple::CompareSerialized(bytes, target),
+                CompareValues(stored, target))
+          << ValuesToString(stored) << " vs " << ValuesToString(target);
+    }
   }
 }
 
