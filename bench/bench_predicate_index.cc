@@ -9,6 +9,8 @@
 // tick has ~1 candidate and ~0.5 expected matches at every N) and a
 // stream of quote ticks.
 
+#include <malloc.h>
+
 #include <map>
 #include <memory>
 
@@ -110,8 +112,15 @@ BENCHMARK(BM_NaivePerTriggerTesting)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
+/// Heap bytes in use (glibc arena plus mmap'd blocks).
+double HeapInUse() {
+  struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks + mi.hblkhd);
+}
+
 // Trigger creation time as the trigger population grows (the signature
-// list stays tiny, so creation cost stays flat — F2's claim).
+// list stays tiny, so creation cost stays flat — F2's claim), and the
+// heap each added predicate keeps (heap_bytes_per_predicate).
 void BM_AddPredicateAtScale(benchmark::State& state) {
   int64_t existing = state.range(0);
   OrgPolicy policy;
@@ -128,6 +137,7 @@ void BM_AddPredicateAtScale(benchmark::State& state) {
     Check(index.AddPredicate(spec).status(), "add predicate");
   }
   int64_t next = existing;
+  const double heap_before = HeapInUse();
   for (auto _ : state) {
     PredicateSpec spec;
     spec.data_source = 1;
@@ -137,6 +147,8 @@ void BM_AddPredicateAtScale(benchmark::State& state) {
     ++next;
     Check(index.AddPredicate(spec).status(), "add predicate");
   }
+  state.counters["heap_bytes_per_predicate"] =
+      (HeapInUse() - heap_before) / static_cast<double>(state.iterations());
   state.counters["existing_triggers"] = static_cast<double>(existing);
 }
 BENCHMARK(BM_AddPredicateAtScale)

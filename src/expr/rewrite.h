@@ -26,6 +26,17 @@ Result<ExprPtr> QualifyColumnRefs(
 Result<ExprPtr> BindPlaceholders(const ExprPtr& expr,
                                  const std::vector<Value>& constants);
 
+/// Substitutes placeholder nodes with column references: CONSTANT_i
+/// becomes `var`.`$i` (PlaceholderColumnName(i)). Compiled against a
+/// layout whose `var` slot has the fields $1..$m, the result is one
+/// program for every constant row of a signature: each evaluation binds
+/// that slot to the row's constants.
+ExprPtr PlaceholdersToColumns(const ExprPtr& expr, const std::string& var);
+
+/// Name of the column PlaceholdersToColumns gives CONSTANT_`index`. The
+/// `$` keeps it apart from every parsed attribute name.
+std::string PlaceholderColumnName(int index);
+
 }  // namespace tman
 
 #endif  // TRIGGERMAN_EXPR_REWRITE_H_

@@ -120,10 +120,12 @@ class LoopbackTransportImpl : public PollableTransport {
   }
 
   void Close() override {
+    // Inbound first: our reads and the peer's writes fail fast. Closed in
+    // this order, nothing the peer sends in reaction to our EOF (a server
+    // goodbye for a frame cut in half, say) can reach a reader of ours.
+    in_->CloseRead();
     // Outbound: peer may still drain buffered bytes, then sees EOF.
     out_->CloseWrite();
-    // Inbound: our reads and the peer's writes fail fast.
-    in_->CloseRead();
   }
 
   std::string peer() const override { return peer_; }

@@ -10,7 +10,7 @@ std::vector<Value> EqKeyOf(const SignatureContext& ctx,
   key.reserve(ctx.split.eq.size());
   for (const EqConjunct& c : ctx.split.eq) {
     size_t idx = static_cast<size_t>(c.placeholder - 1);
-    key.push_back(idx < entry.constants.size() ? entry.constants[idx]
+    key.push_back(idx < entry.constants.size() ? entry.constants.at(idx)
                                                : Value::Null());
   }
   return key;
@@ -24,14 +24,14 @@ IntervalIndex::Interval IntervalOf(const SignatureContext& ctx,
   if (r.has_lo) {
     size_t idx = static_cast<size_t>(r.lo_placeholder - 1);
     if (idx < entry.constants.size()) {
-      iv.lo = entry.constants[idx];
+      iv.lo = entry.constants.at(idx);
       iv.lo_inclusive = r.lo_inclusive;
     }
   }
   if (r.has_hi) {
     size_t idx = static_cast<size_t>(r.hi_placeholder - 1);
     if (idx < entry.constants.size()) {
-      iv.hi = entry.constants[idx];
+      iv.hi = entry.constants.at(idx);
       iv.hi_inclusive = r.hi_inclusive;
     }
   }

@@ -1,7 +1,5 @@
 #include "predindex/org_db.h"
 
-#include "expr/expr.h"
-#include "parser/parser.h"
 #include "predindex/org_common.h"
 
 namespace tman {
@@ -53,13 +51,11 @@ Status DbOrganizationBase::Insert(const PredicateEntry& entry) {
   row.push_back(Value::Int(static_cast<int64_t>(entry.next_node)));
   for (int i = 0; i < ctx_->signature.num_constants; ++i) {
     Value c = static_cast<size_t>(i) < entry.constants.size()
-                  ? entry.constants[static_cast<size_t>(i)]
+                  ? entry.constants.at(static_cast<size_t>(i))
                   : Value::Null();
     row.push_back(Value::String(EncodeValues({c})));
   }
-  row.push_back(entry.rest == nullptr
-                    ? Value::Null()
-                    : Value::String(ExprToString(entry.rest)));
+  row.push_back(Value::Null());  // rest: the signature's program tests it
   TMAN_ASSIGN_OR_RETURN(Rid rid, db_->Insert(table_, Tuple(std::move(row))));
   rid_of_[entry.expr_id] = rid;
   return Status::OK();
@@ -81,18 +77,16 @@ Result<PredicateEntry> DbOrganizationBase::DecodeRow(const Tuple& row) const {
   e.trigger_id = static_cast<TriggerId>(row.at(1).as_int());
   e.next_node = static_cast<NetworkNodeId>(row.at(2).as_int());
   int m = ctx_->signature.num_constants;
-  e.constants.reserve(static_cast<size_t>(m));
+  std::vector<Value> constants;
+  constants.reserve(static_cast<size_t>(m));
   for (int i = 0; i < m; ++i) {
     const Value& cell = row.at(kFixedCols + static_cast<size_t>(i));
     TMAN_ASSIGN_OR_RETURN(std::vector<Value> decoded,
                           DecodeValues(cell.as_string()));
-    e.constants.push_back(decoded.empty() ? Value::Null()
-                                          : std::move(decoded[0]));
+    constants.push_back(decoded.empty() ? Value::Null()
+                                        : std::move(decoded[0]));
   }
-  const Value& rest = row.at(kFixedCols + static_cast<size_t>(m));
-  if (!rest.is_null() && !rest.as_string().empty()) {
-    TMAN_ASSIGN_OR_RETURN(e.rest, ParseExpressionString(rest.as_string()));
-  }
+  e.constants = Tuple(std::move(constants));
   return e;
 }
 

@@ -15,8 +15,9 @@ namespace tman {
 ///    const_1 varchar ... const_m varchar, rest varchar)
 /// exactly the paper's denormalized layout (§5.1 — deliberately not 3NF
 /// so matching needs no joins). Constant cells hold a type-preserving
-/// binary encoding; rest holds the bound rest-of-predicate as text,
-/// re-parsed when a row is materialized.
+/// binary encoding. The rest column stays in the layout so older tables
+/// still open, but it is written NULL and never read: the signature's one
+/// compiled rest program tests every row against its constants.
 class DbOrganizationBase : public ConstantSetOrganization {
  public:
   DbOrganizationBase(const SignatureContext* ctx, Database* db);

@@ -2,16 +2,11 @@
 #define TRIGGERMAN_PREDINDEX_PREDICATE_ENTRY_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "expr/expr.h"
-#include "types/value.h"
+#include "types/tuple.h"
 
 namespace tman {
-
-class CompiledPredicate;
 
 /// Unique id of one selection-predicate instance (the exprID column of a
 /// constant table).
@@ -25,27 +20,18 @@ using TriggerId = uint64_t;
 using NetworkNodeId = uint32_t;
 
 /// The in-memory image of one constant-table row (§5.1): which trigger the
-/// predicate belongs to, where its token goes next, the extracted
-/// constants, and the non-indexable rest of the predicate.
+/// predicate belongs to, where its token goes next, and the extracted
+/// constants. The rest of the predicate is not stored per row: the
+/// signature's one compiled rest program reads the constants as its
+/// second binding slot (see SignatureIndexEntry).
 struct PredicateEntry {
   ExprId expr_id = 0;
   TriggerId trigger_id = 0;
   NetworkNodeId next_node = 0;
 
-  /// All m constants of the predicate, numbered as in the signature.
-  std::vector<Value> constants;
-
-  /// restOfPredicate with this row's constants already bound (concrete,
-  /// references the canonical signature variable); null when the whole
-  /// predicate was indexable.
-  ExprPtr rest;
-
-  /// `rest` compiled to bytecode against the source schema (see
-  /// expr/compile.h). Null when there is no rest, when compilation was
-  /// refused (match falls back to the interpreter), or when the entry was
-  /// round-tripped through a database organization — those lose the
-  /// program and the SignatureIndexEntry's side table supplies it.
-  std::shared_ptr<const CompiledPredicate> compiled_rest;
+  /// All m constants of the predicate, numbered as in the signature:
+  /// field i-1 holds CONSTANT_i.
+  Tuple constants;
 };
 
 /// What the predicate index reports for a matched token (§5.4): enough to

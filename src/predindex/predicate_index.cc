@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "expr/compile.h"
-#include "expr/rewrite.h"
 #include "expr/signature.h"
 #include "util/hash.h"
 
@@ -75,22 +73,11 @@ Result<AddPredicateInfo> PredicateIndex::AddPredicate(
       next_sig_id_.fetch_add(1, std::memory_order_relaxed);
   const ExprId expr_id = next_expr_id_.fetch_add(1, std::memory_order_relaxed);
 
-  // Bind constants and compile the rest-of-predicate outside the stripe
-  // lock too — compilation is pure tree work against the source schema.
-  // SplitIndexable is deterministic over the generalized tree, so this
-  // local split is structurally identical to the one FindOrCreate keeps.
-  ExprPtr bound_rest;
-  std::shared_ptr<const CompiledPredicate> compiled_rest;
-  if (split.rest != nullptr) {
-    TMAN_ASSIGN_OR_RETURN(bound_rest,
-                          BindPlaceholders(split.rest, gen.constants));
-    const DataSourcePredicateIndex* src_view = source(spec.data_source);
-    if (src_view != nullptr) {
-      BindingLayout layout;
-      layout.Add(std::string(SignatureVarName()), &src_view->schema());
-      compiled_rest = TryCompilePredicate(bound_rest, layout);
-    }
-  }
+  PredicateEntry pe;
+  pe.expr_id = expr_id;
+  pe.trigger_id = spec.trigger_id;
+  pe.next_node = spec.next_node;
+  pe.constants = Tuple(gen.constants);
 
   Stripe& stripe = StripeFor(spec.data_source);
   AddPredicateInfo info;
@@ -108,23 +95,7 @@ Result<AddPredicateInfo> PredicateIndex::AddPredicate(
     bool created = false;
     TMAN_ASSIGN_OR_RETURN(
         entry, src->FindOrCreate(gen.signature, split, reserved_sig_id,
-                                 &created));
-
-    PredicateEntry pe;
-    pe.expr_id = expr_id;
-    pe.trigger_id = spec.trigger_id;
-    pe.next_node = spec.next_node;
-    pe.constants = gen.constants;
-    if (bound_rest != nullptr) {
-      pe.rest = bound_rest;
-      pe.compiled_rest = std::move(compiled_rest);
-    } else if (entry->context().split.rest != nullptr) {
-      // Defensive: an entry whose canonical split disagrees with the
-      // local one still gets a bound rest (the interpreter covers it).
-      TMAN_ASSIGN_OR_RETURN(
-          pe.rest,
-          BindPlaceholders(entry->context().split.rest, pe.constants));
-    }
+                                 pe.constants, &created));
     TMAN_RETURN_IF_ERROR(entry->Insert(pe));
 
     info.expr_id = pe.expr_id;
@@ -253,7 +224,10 @@ PredicateIndexStats PredicateIndex::stats() const {
     std::shared_lock lock(stripe->mutex);
     for (const auto& [id, src] : stripe->sources) {
       st.num_signatures += src->entries().size();
-      for (const auto& e : src->entries()) st.num_predicates += e->size();
+      for (const auto& e : src->entries()) {
+        st.num_predicates += e->size();
+        if (e->rest_program() != nullptr) ++st.rest_programs;
+      }
     }
   }
   return st;

@@ -18,6 +18,9 @@ struct PredicateIndexStats {
   uint64_t matches_emitted = 0;
   uint64_t num_signatures = 0;
   uint64_t num_predicates = 0;
+  /// Compiled rest-of-predicate programs held: at most one per signature
+  /// class, however many predicates the class has.
+  uint64_t rest_programs = 0;
 };
 
 /// Per-stripe occupancy, for the console's live inspection and for

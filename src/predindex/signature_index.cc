@@ -2,14 +2,21 @@
 
 #include "expr/compile.h"
 #include "expr/eval.h"
+#include "expr/rewrite.h"
 
 namespace tman {
+
+namespace {
+// Tuple variable of the rest program's second slot: a row's constants.
+constexpr char kConstVar[] = "$const";
+}  // namespace
 
 SignatureIndexEntry::SignatureIndexEntry(SignatureContext ctx, Database* db,
                                          OrgPolicy policy)
     : ctx_(std::move(ctx)), db_(db), policy_(policy) {}
 
-Status SignatureIndexEntry::Open(const Schema& schema) {
+Status SignatureIndexEntry::Open(const Schema& schema,
+                                 const Tuple& constants) {
   schema_ = schema;
   for (const EqConjunct& c : ctx_.split.eq) {
     TMAN_ASSIGN_OR_RETURN(size_t f, schema_.RequireField(c.attribute));
@@ -23,6 +30,23 @@ Status SignatureIndexEntry::Open(const Schema& schema) {
   for (const std::string& col : ctx_.signature.update_columns) {
     TMAN_ASSIGN_OR_RETURN(size_t f, schema_.RequireField(col));
     update_col_fields_.push_back(f);
+  }
+  if (ctx_.split.rest != nullptr) {
+    std::vector<Field> fields;
+    for (int i = 1; i <= ctx_.signature.num_constants; ++i) {
+      size_t idx = static_cast<size_t>(i - 1);
+      fields.emplace_back(PlaceholderColumnName(i),
+                          idx < constants.size() ? constants.at(idx).type()
+                                                 : DataType::kVarchar);
+    }
+    // The layout is only read while compiling: the program keeps no
+    // schema pointer.
+    const Schema const_schema(std::move(fields));
+    BindingLayout layout;
+    layout.Add(std::string(SignatureVarName()), &schema_);
+    layout.Add(kConstVar, &const_schema);
+    rest_program_ = TryCompilePredicate(
+        PlaceholdersToColumns(ctx_.split.rest, kConstVar), layout);
   }
   OrgType initial =
       policy_.forced ? policy_.forced_type : PickOrgType(0);
@@ -68,23 +92,11 @@ Status SignatureIndexEntry::Insert(const PredicateEntry& entry) {
   }
   TMAN_RETURN_IF_ERROR(org_->Insert(entry));
   version_.fetch_add(1, std::memory_order_relaxed);
-  if (entry.rest != nullptr) {
-    // Keep a program in the side table even when the entry carries one:
-    // database organizations and migrations strip the embedded copy.
-    std::shared_ptr<const CompiledPredicate> prog = entry.compiled_rest;
-    if (prog == nullptr) {
-      BindingLayout layout;
-      layout.Add(std::string(SignatureVarName()), &schema_);
-      prog = TryCompilePredicate(entry.rest, layout);
-    }
-    if (prog != nullptr) compiled_rest_[entry.expr_id] = std::move(prog);
-  }
   return Status::OK();
 }
 
 Status SignatureIndexEntry::Remove(ExprId expr_id) {
   TMAN_RETURN_IF_ERROR(org_->Remove(expr_id));
-  compiled_rest_.erase(expr_id);
   version_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
   // Organizations are not downgraded on shrink: migration down would buy
@@ -139,31 +151,13 @@ Status SignatureIndexEntry::MatchTuple(
   auto test = [&](const PredicateEntry& e) {
     if (!inner.ok()) return;
     candidates_tested_.Increment();
-    if (e.rest != nullptr) {
-      const CompiledPredicate* prog = e.compiled_rest.get();
-      if (prog == nullptr) {
-        auto it = compiled_rest_.find(e.expr_id);
-        if (it != compiled_rest_.end()) prog = it->second.get();
+    if (ctx_.split.rest != nullptr) {
+      Result<bool> pass = TestRest(tuple, e.constants);
+      if (!pass.ok()) {
+        inner = pass.status();
+        return;
       }
-      if (prog != nullptr) {
-        const Tuple* tuples[] = {&tuple};
-        auto pass = prog->EvalBool(tuples, 1);
-        if (!pass.ok()) {
-          inner = pass.status();
-          return;
-        }
-        if (!*pass) return;
-      } else {
-        // Fallback: dynamic or uncompilable rest goes to the interpreter.
-        Bindings b;
-        b.Bind(std::string(SignatureVarName()), &schema_, &tuple);
-        auto pass = EvalPredicate(e.rest, b);
-        if (!pass.ok()) {
-          inner = pass.status();
-          return;
-        }
-        if (!*pass) return;
-      }
+      if (!*pass) return;
     }
     if (track) matches_.Increment();
     fn(PredicateMatch{e.trigger_id, e.expr_id, e.next_node});
@@ -235,21 +229,24 @@ void SignatureIndexEntry::MatchBatch(
   // Pass 3: consult the organization per lane, collecting candidates in
   // organization order. Candidates of one lane are contiguous and
   // ordered, which is what lets pass 5 replay the scalar path's emission
-  // and error order exactly.
-  // Owning copies of the program / rest expression: database
-  // organizations materialize transient PredicateEntry objects per
-  // candidate, so borrowed pointers would dangle once testing is
-  // deferred past the org callback.
+  // and error order exactly. A candidate borrows its entry's constants:
+  // memory organizations keep their entries in place under the stripe's
+  // shared lock, while database organizations materialize a transient
+  // entry per candidate, so those constants are copied into `owned`.
   struct Candidate {
     uint32_t lane = 0;
     PredicateMatch match;
-    std::shared_ptr<const CompiledPredicate> prog;  // batched rest test
-    ExprPtr rest;                                   // interpreter fallback
     const Tuple* tuple = nullptr;
-    int8_t verdict = 1;  // 1 = pass, 0 = fail; -1 = error (see errors)
+    const Tuple* constants = nullptr;
+    int8_t verdict = 1;  // 1 = pass (pass 4 may change it), 0 = fail,
+                         // -1 = error (see errors)
     uint32_t error_at = 0;
   };
+  const bool has_rest = ctx_.split.rest != nullptr;
+  const bool transient = org_->type() == OrgType::kDbTable ||
+                         org_->type() == OrgType::kDbIndexedTable;
   std::vector<Candidate> cands;
+  std::vector<Tuple> owned;
   std::vector<Status> errors;
   // Rare per-lane organization failures (database orgs only), applied
   // after the lane's already-collected candidates are processed — the
@@ -270,16 +267,12 @@ void SignatureIndexEntry::MatchBatch(
       c.lane = lane;
       c.match = PredicateMatch{e.trigger_id, e.expr_id, e.next_node};
       c.tuple = tuple;
-      if (e.rest != nullptr) {
-        c.prog = e.compiled_rest;
-        if (c.prog == nullptr) {
-          auto it = compiled_rest_.find(e.expr_id);
-          if (it != compiled_rest_.end()) c.prog = it->second;
-        }
-        if (c.prog == nullptr) c.rest = e.rest;
-        c.verdict = 0;  // pending: pass 4 decides
+      if (has_rest && transient) {
+        owned.push_back(e.constants);
+      } else if (has_rest) {
+        c.constants = &e.constants;
       }
-      cands.push_back(std::move(c));
+      cands.push_back(c);
     };
     Status s = num_partitions <= 1
                    ? org_->Match(probes[i], collect)
@@ -287,47 +280,41 @@ void SignatureIndexEntry::MatchBatch(
                                           num_partitions, collect);
     if (!s.ok()) org_errors.emplace_back(lane, std::move(s));
   }
+  if (has_rest && transient) {
+    for (size_t k = 0; k < cands.size(); ++k) cands[k].constants = &owned[k];
+  }
 
-  // Pass 4: test rest-of-predicates. Candidates sharing a compiled
-  // program are grouped into one EvalBatch (their tuples become the
-  // batch's lanes); uncompilable rests fall back to the interpreter per
-  // candidate, exactly as the scalar path does.
-  std::unordered_map<const CompiledPredicate*, std::vector<uint32_t>> groups;
-  for (uint32_t ci = 0; ci < cands.size(); ++ci) {
-    Candidate& c = cands[ci];
-    if (c.prog != nullptr) {
-      groups[c.prog.get()].push_back(ci);
-    } else if (c.rest != nullptr) {
-      Bindings b;
-      b.Bind(std::string(SignatureVarName()), &schema_, c.tuple);
-      auto pass = EvalPredicate(c.rest, b);
-      if (!pass.ok()) {
-        c.verdict = -1;
-        c.error_at = static_cast<uint32_t>(errors.size());
-        errors.push_back(pass.status());
+  // Pass 4: test the rest of the predicate. Every candidate of every lane
+  // is one lane of a single EvalBatch of the class's program, with the
+  // candidate's constants bound to the second slot. A template the
+  // compiler refused runs through the interpreter per candidate, exactly
+  // as the scalar path does.
+  auto fail = [&](Candidate& c, Status s) {
+    c.verdict = -1;
+    c.error_at = static_cast<uint32_t>(errors.size());
+    errors.push_back(std::move(s));
+  };
+  if (has_rest && rest_program_ != nullptr && !cands.empty()) {
+    TokenBatch batch(2);
+    for (const Candidate& c : cands) batch.Append(c.tuple, c.constants);
+    BatchResult result;
+    Status s = rest_program_->EvalBatch(batch, &result);
+    for (size_t k = 0; k < cands.size(); ++k) {
+      if (!s.ok()) {
+        fail(cands[k], s);
+      } else if (!result.ok(k)) {
+        fail(cands[k], result.status(k));
       } else {
-        c.verdict = *pass ? 1 : 0;
+        cands[k].verdict = result.Truth(k) ? 1 : 0;
       }
     }
-  }
-  TokenBatch batch(1);
-  BatchResult result;
-  for (auto& [prog, members] : groups) {
-    batch.Clear();
-    for (uint32_t ci : members) batch.Append(cands[ci].tuple);
-    Status s = prog->EvalBatch(batch, &result);
-    for (size_t k = 0; k < members.size(); ++k) {
-      Candidate& c = cands[members[k]];
-      if (!s.ok()) {
-        c.verdict = -1;
-        c.error_at = static_cast<uint32_t>(errors.size());
-        errors.push_back(s);
-      } else if (!result.ok(k)) {
-        c.verdict = -1;
-        c.error_at = static_cast<uint32_t>(errors.size());
-        errors.push_back(result.status(k));
+  } else if (has_rest) {
+    for (Candidate& c : cands) {
+      Result<bool> pass = TestRest(*c.tuple, *c.constants);
+      if (!pass.ok()) {
+        fail(c, pass.status());
       } else {
-        c.verdict = result.Truth(k) ? 1 : 0;
+        c.verdict = *pass ? 1 : 0;
       }
     }
   }
@@ -355,6 +342,19 @@ void SignatureIndexEntry::MatchBatch(
   for (auto& [lane, s] : org_errors) {
     if (lane_status[lane].ok()) lane_status[lane] = std::move(s);
   }
+}
+
+Result<bool> SignatureIndexEntry::TestRest(const Tuple& tuple,
+                                           const Tuple& constants) const {
+  if (rest_program_ != nullptr) {
+    const Tuple* tuples[] = {&tuple, &constants};
+    return rest_program_->EvalBool(tuples, 2);
+  }
+  TMAN_ASSIGN_OR_RETURN(ExprPtr bound,
+                        BindPlaceholders(ctx_.split.rest, constants.values()));
+  Bindings b;
+  b.Bind(std::string(SignatureVarName()), &schema_, &tuple);
+  return EvalPredicate(bound, b);
 }
 
 SignatureRuntimeStats SignatureIndexEntry::RuntimeStats() const {
@@ -427,7 +427,7 @@ SignatureIndexEntry* DataSourcePredicateIndex::FindBySigId(
 
 Result<SignatureIndexEntry*> DataSourcePredicateIndex::FindOrCreate(
     const ExpressionSignature& signature, const IndexableSplit& split,
-    uint64_t sig_id, bool* created) {
+    uint64_t sig_id, const Tuple& constants, bool* created) {
   uint64_t h = signature.Hash();
   auto it = by_hash_.find(h);
   if (it != by_hash_.end()) {
@@ -444,7 +444,7 @@ Result<SignatureIndexEntry*> DataSourcePredicateIndex::FindOrCreate(
   ctx.sig_id = sig_id;
   auto entry =
       std::make_unique<SignatureIndexEntry>(std::move(ctx), db_, policy_);
-  TMAN_RETURN_IF_ERROR(entry->Open(schema_));
+  TMAN_RETURN_IF_ERROR(entry->Open(schema_, constants));
   entries_.push_back(std::move(entry));
   by_hash_[h].push_back(entries_.size() - 1);
   *created = true;

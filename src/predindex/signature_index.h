@@ -16,6 +16,8 @@
 
 namespace tman {
 
+class CompiledPredicate;
+
 /// Policy for choosing (and migrating) a signature's constant-set
 /// organization by equivalence-class size. The defaults mirror the
 /// paper's guidance: low-overhead main-memory structures for the common
@@ -56,8 +58,11 @@ class SignatureIndexEntry {
  public:
   SignatureIndexEntry(SignatureContext ctx, Database* db, OrgPolicy policy);
 
-  /// Resolves attribute positions and creates the initial organization.
-  Status Open(const Schema& schema);
+  /// Resolves attribute positions, creates the initial organization and
+  /// compiles the rest template once for the whole class. `constants`
+  /// (the first row's) types the constants slot; other rows may hold
+  /// other types, since typed ops guard the runtime types.
+  Status Open(const Schema& schema, const Tuple& constants);
 
   /// Adds one predicate instance, migrating the organization if the
   /// class outgrew the current one.
@@ -87,12 +92,14 @@ class SignatureIndexEntry {
   /// Batched Match over `lanes[0..num_lanes)` of `tokens`: filters the
   /// event condition per lane, builds every surviving lane's probe in one
   /// tight pass before the organization is consulted, gathers candidates
-  /// in organization order, then tests rest-of-predicates with the
-  /// batched VM — one EvalBatch per distinct compiled program covering
-  /// all lanes that reached it. Emission order and error behavior per
-  /// lane are exactly the scalar Match's: a lane's matches stream in
-  /// candidate order until its first eval error, which lands in
-  /// `lane_status[lane]` and stops that lane (others continue).
+  /// in organization order, then tests the rest of the predicate (pass 4)
+  /// with one EvalBatch of the class's rest program: each candidate of
+  /// every lane is one batch lane binding (token tuple, entry constants).
+  /// A refused template runs the interpreter per candidate instead.
+  /// Emission order and error behavior per lane are exactly the scalar
+  /// Match's: a lane's matches stream in candidate order until its first
+  /// eval error, which lands in `lane_status[lane]` and stops that lane
+  /// (others continue).
   /// `fn(lane, match)` receives the token index alongside each match.
   void MatchBatch(const UpdateDescriptor* tokens, const uint32_t* lanes,
                   size_t num_lanes, uint32_t partition,
@@ -102,6 +109,10 @@ class SignatureIndexEntry {
 
   const SignatureContext& context() const { return ctx_; }
   const ConstantSetOrganization* organization() const { return org_.get(); }
+  /// The class's compiled rest program; null when the signature has no
+  /// rest or the compiler refused it (the interpreter then runs the rest
+  /// bound to each candidate's constants).
+  const CompiledPredicate* rest_program() const { return rest_program_.get(); }
   size_t size() const { return org_ == nullptr ? 0 : org_->size(); }
   OrgType org_type() const { return org_->type(); }
 
@@ -157,14 +168,12 @@ class SignatureIndexEntry {
   Schema schema_;
   std::unique_ptr<ConstantSetOrganization> org_;
 
-  /// expr_id -> compiled rest-of-predicate. Database organizations store
-  /// `rest` as text and re-parse it per candidate, so the program cannot
-  /// ride inside their PredicateEntry copies; this table survives both
-  /// that round-trip and organization migration. Mutated only under the
-  /// owning stripe's exclusive lock (Insert/Remove), read under its
-  /// shared lock (Match).
-  std::unordered_map<ExprId, std::shared_ptr<const CompiledPredicate>>
-      compiled_rest_;
+  /// Tests the rest of the predicate for one candidate: the class
+  /// program with `constants` bound to its second slot, or the
+  /// interpreter over the rest bound to them when there is no program.
+  Result<bool> TestRest(const Tuple& tuple, const Tuple& constants) const;
+
+  std::shared_ptr<const CompiledPredicate> rest_program_;
 
   // Resolved positions in the source schema.
   std::vector<size_t> eq_fields_;
@@ -194,11 +203,12 @@ class DataSourcePredicateIndex {
                            OrgPolicy policy)
       : id_(id), schema_(std::move(schema)), db_(db), policy_(policy) {}
 
-  /// Finds the entry with this signature, creating it (and assigning
-  /// `sig_id` via the callback) if unseen. `created` reports novelty.
+  /// Finds the entry with this signature, creating it (with `sig_id`,
+  /// its rest program typed after `constants`) if unseen. `created`
+  /// reports novelty.
   Result<SignatureIndexEntry*> FindOrCreate(
       const ExpressionSignature& signature, const IndexableSplit& split,
-      uint64_t sig_id, bool* created);
+      uint64_t sig_id, const Tuple& constants, bool* created);
 
   /// Matches a token against every signature in the list.
   Status Match(const UpdateDescriptor& token, uint32_t partition,

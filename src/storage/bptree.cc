@@ -278,9 +278,12 @@ Result<PageId> BPTree::Create(BufferPool* pool) {
 }
 
 Result<PageId> BPTree::Root() const {
-  PageGuard meta;
-  TMAN_RETURN_IF_ERROR(pool_->FetchPage(meta_page_, &meta));
-  return static_cast<PageId>(GetU32(meta.data()));
+  if (root_ == kInvalidPageId) {
+    PageGuard meta;
+    TMAN_RETURN_IF_ERROR(pool_->FetchPage(meta_page_, &meta));
+    root_ = static_cast<PageId>(GetU32(meta.data()));
+  }
+  return root_;
 }
 
 Status BPTree::SetRoot(PageId root) {
@@ -288,6 +291,7 @@ Status BPTree::SetRoot(PageId root) {
   TMAN_RETURN_IF_ERROR(pool_->FetchPage(meta_page_, &meta));
   PutU32(meta.data(), root);
   meta.MarkDirty();
+  root_ = root;
   return Status::OK();
 }
 

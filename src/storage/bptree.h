@@ -79,6 +79,9 @@ class BPTree {
     PageId right = kInvalidPageId;
   };
 
+  /// The root page id: read from the meta page by the first operation,
+  /// then served from `root_`, which SetRoot keeps current. Call with
+  /// `mutex_` held.
   Result<PageId> Root() const;
   Status SetRoot(PageId root);
 
@@ -108,6 +111,7 @@ class BPTree {
   BufferPool* pool_;
   PageId meta_page_;
   mutable std::mutex mutex_;
+  mutable PageId root_ = kInvalidPageId;  // guarded by mutex_
 };
 
 }  // namespace tman

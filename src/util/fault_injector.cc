@@ -13,6 +13,18 @@ void FaultInjector::ArmCountdown(std::string pattern, uint64_t after_hits,
   armed_.store(true, std::memory_order_relaxed);
 }
 
+void FaultInjector::ArmOnce(std::string pattern, uint64_t after_hits,
+                            StatusCode code) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Arm arm;
+  arm.mode = Arm::Mode::kCountdown;
+  arm.remaining = after_hits;
+  arm.once = true;
+  arm.code = code;
+  arms_[std::move(pattern)] = std::move(arm);
+  armed_.store(true, std::memory_order_relaxed);
+}
+
 void FaultInjector::ArmEveryNth(std::string pattern, uint64_t n,
                                 StatusCode code) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -71,7 +83,9 @@ Status FaultInjector::Check(std::string_view site) {
     stat_it = stats_.emplace(std::string(site), FaultSiteStats()).first;
   }
   ++stat_it->second.checks;
-  for (auto& [pattern, arm] : arms_) {
+  for (auto it = arms_.begin(); it != arms_.end(); ++it) {
+    const std::string& pattern = it->first;
+    Arm& arm = it->second;
     if (!Matches(pattern, site)) continue;
     bool trip = false;
     switch (arm.mode) {
@@ -92,7 +106,12 @@ Status FaultInjector::Check(std::string_view site) {
     if (trip) {
       ++stat_it->second.faults;
       ++total_faults_;
-      return MakeFault(arm, site, pattern);
+      Status fault = MakeFault(arm, site, pattern);
+      if (arm.once) {
+        arms_.erase(it);
+        if (arms_.empty()) armed_.store(false, std::memory_order_relaxed);
+      }
+      return fault;
     }
   }
   return Status::OK();

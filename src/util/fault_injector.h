@@ -24,11 +24,14 @@ struct FaultSiteStats {
 
 /// Unified fault-injection registry for failure-path testing. Fallible
 /// code calls `Check("<layer>.<operation>")` at its fault sites; tests arm
-/// faults against exact site names or `prefix.*` patterns. Three trigger
+/// faults against exact site names or `prefix.*` patterns. Four trigger
 /// modes cover the common failure shapes:
 ///
 ///   * countdown    — the next N matching checks succeed, then every
 ///                    check fails until cleared (the crash point);
+///   * one-shot     — the next N matching checks succeed, the one after
+///                    fails, and the arm then clears itself (a single
+///                    transient fault that a retry gets past);
 ///   * every-Nth    — every Nth matching check fails (periodic flakiness);
 ///   * probability  — each matching check fails with seeded probability p
 ///                    (random storms that replay exactly by seed).
@@ -64,6 +67,11 @@ class FaultInjector {
   /// every later one fails with `code`.
   void ArmCountdown(std::string pattern, uint64_t after_hits,
                     StatusCode code = StatusCode::kIoError);
+
+  /// Arms `pattern` so the next `after_hits` matching checks succeed, the
+  /// one after fails with `code`, and the arm then disarms itself.
+  void ArmOnce(std::string pattern, uint64_t after_hits = 0,
+               StatusCode code = StatusCode::kIoError);
 
   /// Arms `pattern` so every `n`th matching check fails (n >= 1; n == 1
   /// fails every check).
@@ -106,6 +114,7 @@ class FaultInjector {
     enum class Mode { kCountdown, kEveryNth, kProbability };
     Mode mode = Mode::kCountdown;
     uint64_t remaining = 0;  // countdown: hits left before tripping
+    bool once = false;       // countdown: disarm after the first trip
     uint64_t period = 0;     // every-Nth
     uint64_t hits = 0;       // every-Nth: matching checks so far
     double probability = 0.0;

@@ -44,6 +44,50 @@ TEST_F(BPTreeTest, InsertAndSearchEqual) {
   EXPECT_TRUE(tree_->SearchEqual(IntKey(6))->empty());
 }
 
+TEST_F(BPTreeTest, RootIsCachedAcrossSplitsAndReopen) {
+  // 200-byte keys split nodes after ~18 entries, so a few hundred keys
+  // grow the tree through two root splits. The keys sort as strings:
+  // wide_key(0) is the first entry of the leftmost leaf, so its lookup
+  // touches exactly one node per level.
+  auto wide_key = [](int64_t k) {
+    return std::vector<Value>{
+        Value::String(std::string(200, 'k') + std::to_string(k))};
+  };
+  auto fetches = [&] {
+    BufferPoolStats st = pool_->stats();
+    return st.hits + st.misses;
+  };
+  int64_t n = 0;
+  uint32_t height = 1;
+  while (height < 3) {
+    ASSERT_TRUE(
+        tree_->Insert(wide_key(n), MakeRid(1, static_cast<uint16_t>(n))).ok());
+    ++n;
+    height = *tree_->Height();
+  }
+  for (int64_t k = 0; k < n; k += 7) {
+    ASSERT_EQ(tree_->SearchEqual(wide_key(k))->size(), 1u) << k;
+  }
+  pool_->ResetStats();
+  ASSERT_EQ(tree_->SearchEqual(wide_key(0))->size(), 1u);
+  EXPECT_EQ(fetches(), height);
+
+  // A fresh tree over a cold pool reads the meta page once, then never.
+  ASSERT_TRUE(pool_->FlushAll().ok());
+  tree_.reset();
+  pool_ = std::make_unique<BufferPool>(disk_.get(), 256);
+  tree_ = std::make_unique<BPTree>(pool_.get(), meta_);
+  ASSERT_EQ(tree_->SearchEqual(wide_key(0))->size(), 1u);
+  EXPECT_EQ(fetches(), height + 1);
+  pool_->ResetStats();
+  ASSERT_EQ(tree_->SearchEqual(wide_key(0))->size(), 1u);
+  EXPECT_EQ(fetches(), height);
+  EXPECT_EQ(*tree_->Height(), height);
+  for (int64_t k = 0; k < n; ++k) {
+    ASSERT_EQ(tree_->SearchEqual(wide_key(k))->size(), 1u) << k;
+  }
+}
+
 TEST_F(BPTreeTest, DuplicateKeysAllRidsReturned) {
   for (uint16_t i = 0; i < 50; ++i) {
     ASSERT_TRUE(tree_->Insert(IntKey(42), MakeRid(1, i)).ok());

@@ -151,6 +151,26 @@ TEST(FaultInjectionTest, InjectorEveryNthMode) {
   EXPECT_EQ(fi.site_stats("disk.read").checks, 12u);
 }
 
+TEST(FaultInjectionTest, InjectorOneShotDisarmsItself) {
+  FaultInjector fi;
+  fi.ArmOnce("ipc.write.*", 2);
+  EXPECT_TRUE(fi.Check("ipc.write.drop").ok());
+  EXPECT_TRUE(fi.Check("ipc.write.drop").ok());
+  EXPECT_FALSE(fi.Check("ipc.write.drop").ok());  // the one fault
+  EXPECT_FALSE(fi.armed());
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(fi.Check("ipc.write.drop").ok());
+  EXPECT_EQ(fi.total_faults(), 1u);
+
+  // Disarming one arm leaves the others armed.
+  fi.ArmOnce("disk.read");
+  fi.ArmCountdown("disk.write", 0);
+  EXPECT_FALSE(fi.Check("disk.read").ok());
+  EXPECT_TRUE(fi.Check("disk.read").ok());
+  EXPECT_TRUE(fi.armed());
+  EXPECT_FALSE(fi.Check("disk.write").ok());
+  EXPECT_FALSE(fi.Check("disk.write").ok());
+}
+
 TEST(FaultInjectionTest, InjectorProbabilityReplaysBySeed) {
   auto fault_pattern = [](uint64_t seed) {
     FaultInjector fi;

@@ -577,6 +577,22 @@ TEST(LoopbackTest, CloseUnblocksBlockedReader) {
   EXPECT_EQ(*n, 0u);  // EOF
 }
 
+TEST(LoopbackTest, PeerSeesEofOnlyAfterOurInboundIsClosed) {
+  // A peer that reacts to our EOF (the server's goodbye after a frame cut
+  // in half) must not reach our reader: when the peer sees EOF, its
+  // writes to us already fail.
+  for (int round = 0; round < 200; ++round) {
+    auto [client, server] = CreateLoopbackPair();
+    std::thread closer([&client] { client->Close(); });
+    char buf[16];
+    auto n = server->ReadSome(buf, sizeof buf);
+    ASSERT_TRUE(n.ok());
+    ASSERT_EQ(*n, 0u);  // EOF
+    EXPECT_FALSE(server->Write("goodbye").ok()) << "round " << round;
+    closer.join();
+  }
+}
+
 // --- reconnect backoff --------------------------------------------------
 
 TEST(BackoffTest, ExponentialGrowthClampedAtCap) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 #include "parser/parser.h"
 #include "predindex/cost_model.h"
@@ -268,6 +269,67 @@ TEST_F(PredicateIndexTest, StatsCount) {
   EXPECT_EQ(st.num_predicates, 2u);
   EXPECT_EQ(st.tokens_processed, 1u);
   EXPECT_EQ(st.matches_emitted, 2u);
+}
+
+TEST_F(PredicateIndexTest, OneRestProgramPerSignatureClass) {
+  // 1,000 predicates of one class (dept indexed, salary in the rest)
+  // share one compiled rest program; rows keep only their constants.
+  for (int i = 0; i < 1000; ++i) {
+    Add("emp.dept = " + std::to_string(i % 50) +
+            " and emp.salary > " + std::to_string(i),
+        static_cast<TriggerId>(i + 1));
+  }
+  auto st = index_->stats();
+  EXPECT_EQ(st.num_signatures, 1u);
+  EXPECT_EQ(st.num_predicates, 1000u);
+  EXPECT_EQ(st.rest_programs, 1u);
+  EXPECT_EQ(MatchTriggers(EmpInsert("x", 60.5, 10)),
+            (std::set<TriggerId>{11, 61}));  // salary > 10, > 60
+
+  // A class with no rest holds no program.
+  Add("emp.name = 'bob'", 5000);
+  EXPECT_EQ(index_->stats().rest_programs, 1u);
+}
+
+TEST_F(PredicateIndexTest, ConcurrentMatchersShareOneRestProgram) {
+  for (int i = 0; i < 200; ++i) {
+    Add("emp.dept = " + std::to_string(i % 8) + " and emp.salary > " +
+            std::to_string(i) + " and emp.salary < emp.dept * 40",
+        static_cast<TriggerId>(i + 1));
+  }
+  ASSERT_EQ(index_->stats().rest_programs, 1u);
+  std::vector<UpdateDescriptor> tokens;
+  for (int i = 0; i < 64; ++i) {
+    tokens.push_back(EmpInsert("x", (i * 37) % 300 + 0.5, i % 8));
+  }
+  auto run = [&] {
+    std::vector<std::vector<TriggerId>> lanes(tokens.size());
+    EXPECT_TRUE(index_
+                    ->MatchBatch(tokens, 0, 1,
+                                 [&](size_t lane, const PredicateMatch& m) {
+                                   lanes[lane].push_back(m.trigger_id);
+                                 })
+                    .ok());
+    for (size_t lane = 0; lane < tokens.size(); ++lane) {
+      std::vector<PredicateMatch> out;
+      EXPECT_TRUE(index_->Match(tokens[lane], &out).ok());
+      std::vector<TriggerId> scalar;
+      for (const auto& m : out) scalar.push_back(m.trigger_id);
+      EXPECT_EQ(scalar, lanes[lane]);
+    }
+    return lanes;
+  };
+  const auto want = run();
+  size_t total = 0;
+  for (const auto& lane : want) total += lane.size();
+  EXPECT_GT(total, 0u);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) EXPECT_EQ(run(), want);
+    });
+  }
+  for (auto& t : threads) t.join();
 }
 
 TEST(CostModelTest, RegimesOrderedAsThePaperArgues) {

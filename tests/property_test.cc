@@ -231,21 +231,26 @@ TEST_P(OrganizationEquivalenceTest, MatchesAgreeWithDirectEvaluation) {
   }
 }
 
+std::string OrgTestName(const ::testing::TestParamInfo<OrgType>& info) {
+  switch (info.param) {
+    case OrgType::kMemoryList:
+      return "MemoryList";
+    case OrgType::kMemoryIndex:
+      return "MemoryIndex";
+    case OrgType::kDbTable:
+      return "DbTable";
+    case OrgType::kDbIndexedTable:
+      return "DbIndexedTable";
+  }
+  return "Unknown";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllOrganizations, OrganizationEquivalenceTest,
                          ::testing::Values(OrgType::kMemoryList,
                                            OrgType::kMemoryIndex,
                                            OrgType::kDbTable,
                                            OrgType::kDbIndexedTable),
-                         [](const auto& info) {
-                           return std::string(OrgTypeName(info.param))
-                                      .find("memory") != std::string::npos
-                                      ? (info.param == OrgType::kMemoryList
-                                             ? "MemoryList"
-                                             : "MemoryIndex")
-                                      : (info.param == OrgType::kDbTable
-                                             ? "DbTable"
-                                             : "DbIndexedTable");
-                         });
+                         OrgTestName);
 
 // --- partitioned matching is a partition ------------------------------------
 
@@ -290,6 +295,297 @@ TEST_P(PartitionCoverageTest, PartitionsAreDisjointAndComplete) {
 
 INSTANTIATE_TEST_SUITE_P(PartitionCounts, PartitionCoverageTest,
                          ::testing::Values(2u, 3u, 7u, 16u));
+
+// --- the shared rest program agrees with the interpreter --------------------
+//
+// Every signature class evaluates its rest of predicate with one compiled
+// program, binding each candidate's constants as the program's second
+// slot. The oracle re-derives every token's outcome from the class's
+// organization and the interpreter over BindPlaceholders(rest, constants):
+// the same matches in the same order, and the same error (code and
+// message) where a rest raises one.
+
+Schema RestSchema() {
+  return Schema({{"a", DataType::kInt},
+                 {"b", DataType::kInt},
+                 {"f", DataType::kFloat},
+                 {"s", DataType::kVarchar}});
+}
+
+Tuple RandomRestTuple(Random* rng) {
+  Value f = rng->Bernoulli(0.1)
+                ? Value::Null()
+                : Value::Float(static_cast<double>(rng->UniformRange(-40, 40)) /
+                               4.0);
+  return Tuple({Value::Int(rng->UniformRange(-5, 25)),
+                Value::Int(rng->UniformRange(0, 30)), std::move(f),
+                Value::String("k" + std::to_string(rng->Uniform(4)))});
+}
+
+/// A constant of any type: one class then holds int, float, string and
+/// NULL rows (`t.b > 7` and `t.b > 7.5` share a signature).
+std::string RandomConstantText(Random* rng) {
+  switch (rng->Uniform(8)) {
+    case 0:
+      return "null";
+    case 1:
+      return "'k" + std::to_string(rng->Uniform(4)) + "'";
+    case 2:
+    case 3:
+      return std::to_string(rng->UniformRange(0, 20)) + ".5";
+    default:
+      return std::to_string(rng->UniformRange(0, 20));  // 0 divides by zero
+  }
+}
+
+/// A predicate of signature shape `shape`: an optional indexable part and
+/// a rest drawn from templates that compare, compute, short-circuit and
+/// raise (type mismatches, division and mod by zero, and an unknown
+/// function the compiler refuses, which runs on the interpreter).
+std::string RestPredicateText(int shape, Random* rng) {
+  static const char* const kIndexable[] = {"", "t.s = 'k1' and ",
+                                           "t.a >= 3 and "};
+  static const char* const kRests[] = {
+      "t.b > $",
+      "t.a + t.b < $",
+      "t.b / $ > 2",
+      "(t.f > $ or t.a = $)",
+      "mod(t.b, $) = 1",
+      "t.b > t.a and t.f < $",
+      "length(t.s) <= $",
+      "not (t.b = $)",
+      "abs(t.a) * $ > t.b",
+      "(t.b > $ or nosuchfn(t.a) > $)",
+  };
+  constexpr int kNumRests = sizeof(kRests) / sizeof(kRests[0]);
+  std::string out = kIndexable[(shape / kNumRests) % 3];
+  for (const char* c = kRests[shape % kNumRests]; *c != '\0'; ++c) {
+    if (*c == '$') {
+      out += RandomConstantText(rng);
+    } else {
+      out += *c;
+    }
+  }
+  return out;
+}
+
+struct LaneOutcome {
+  std::vector<std::pair<TriggerId, ExprId>> matches;
+  Status status;
+};
+
+/// The oracle: each class's organization supplies the candidates in its
+/// order, and the interpreter tests the class rest bound to each
+/// candidate's constants. A token stops at its first error.
+LaneOutcome ReferenceOutcome(const DataSourcePredicateIndex& src,
+                             const Tuple& t) {
+  LaneOutcome out;
+  for (const auto& sig : src.entries()) {
+    const SignatureContext& ctx = sig->context();
+    Probe probe;
+    for (const EqConjunct& c : ctx.split.eq) {
+      probe.eq_key.push_back(t.at(src.schema().FieldIndex(c.attribute)));
+    }
+    if (ctx.split.has_range) {
+      probe.range_value =
+          t.at(src.schema().FieldIndex(ctx.split.range.attribute));
+      probe.has_range_value = true;
+    }
+    Status org = sig->organization()->Match(probe, [&](const PredicateEntry& e) {
+      if (!out.status.ok()) return;
+      if (ctx.split.rest != nullptr) {
+        auto bound = BindPlaceholders(ctx.split.rest, e.constants.values());
+        if (!bound.ok()) {
+          out.status = bound.status();
+          return;
+        }
+        Bindings b;
+        b.Bind(std::string(SignatureVarName()), &src.schema(), &t);
+        auto pass = EvalPredicate(*bound, b);
+        if (!pass.ok()) {
+          out.status = pass.status();
+          return;
+        }
+        if (!*pass) return;
+      }
+      out.matches.emplace_back(e.trigger_id, e.expr_id);
+    });
+    if (out.status.ok()) out.status = org;
+    if (!out.status.ok()) break;
+  }
+  return out;
+}
+
+/// What the oracle saw over a batch, so a test can insist the data
+/// reached both outcomes.
+struct OracleTally {
+  size_t matches = 0;
+  size_t errors = 0;
+};
+
+/// Checks Match, MatchMaintenance and MatchBatch of `index` against the
+/// oracle on `tuples` (one batch).
+void ExpectAgreesWithInterpreter(const PredicateIndex& index,
+                                 const std::vector<Tuple>& tuples,
+                                 const std::string& where,
+                                 OracleTally* tally = nullptr) {
+  const DataSourcePredicateIndex* src = index.source(1);
+  ASSERT_NE(src, nullptr);
+  std::vector<UpdateDescriptor> tokens;
+  std::vector<LaneOutcome> want;
+  for (const Tuple& t : tuples) {
+    tokens.push_back(UpdateDescriptor::Insert(1, t));
+    want.push_back(ReferenceOutcome(*src, t));
+    if (tally != nullptr) {
+      tally->matches += want.back().matches.size();
+      tally->errors += want.back().status.ok() ? 0 : 1;
+    }
+  }
+  auto same = [&](const LaneOutcome& got, const LaneOutcome& ref,
+                  const std::string& api, size_t lane) {
+    EXPECT_EQ(got.matches, ref.matches)
+        << where << " " << api << " tuple " << tuples[lane].ToString();
+    EXPECT_EQ(got.status.ToString(), ref.status.ToString())
+        << where << " " << api << " tuple " << tuples[lane].ToString();
+  };
+  for (size_t lane = 0; lane < tuples.size(); ++lane) {
+    LaneOutcome scalar;
+    scalar.status = index.MatchPartitioned(
+        tokens[lane], 0, 1, [&](const PredicateMatch& m) {
+          scalar.matches.emplace_back(m.trigger_id, m.expr_id);
+        });
+    same(scalar, want[lane], "Match", lane);
+    LaneOutcome maint;
+    maint.status = index.MatchMaintenance(
+        1, tuples[lane], 0, 1, [&](const PredicateMatch& m) {
+          maint.matches.emplace_back(m.trigger_id, m.expr_id);
+        });
+    same(maint, want[lane], "MatchTuple", lane);
+  }
+  std::vector<LaneOutcome> batched(tuples.size());
+  std::vector<Status> per_token;
+  (void)index.MatchBatch(
+      tokens, 0, 1,
+      [&](size_t lane, const PredicateMatch& m) {
+        batched[lane].matches.emplace_back(m.trigger_id, m.expr_id);
+      },
+      &per_token);
+  ASSERT_EQ(per_token.size(), tuples.size());
+  for (size_t lane = 0; lane < tuples.size(); ++lane) {
+    batched[lane].status = per_token[lane];
+    same(batched[lane], want[lane], "MatchBatch", lane);
+  }
+}
+
+/// Installs `count` random predicates, each of a shape drawn from `shapes`.
+void InstallRestPredicates(PredicateIndex* index, Random* rng,
+                           const std::vector<int>& shapes, int count,
+                           TriggerId* next_trigger) {
+  for (int i = 0; i < count; ++i) {
+    std::string text =
+        RestPredicateText(shapes[rng->Uniform(shapes.size())], rng);
+    PredicateSpec spec;
+    spec.data_source = 1;
+    spec.op = OpCode::kInsertOrUpdate;
+    spec.predicate = MustParseLocal(text);
+    spec.trigger_id = (*next_trigger)++;
+    auto added = index->AddPredicate(spec);
+    ASSERT_TRUE(added.ok()) << added.status().ToString() << " for " << text;
+  }
+}
+
+std::vector<Tuple> RandomRestTuples(Random* rng, int n) {
+  std::vector<Tuple> out;
+  for (int i = 0; i < n; ++i) out.push_back(RandomRestTuple(rng));
+  return out;
+}
+
+class SharedRestProgramTest : public ::testing::TestWithParam<OrgType> {};
+
+TEST_P(SharedRestProgramTest, AgreesWithInterpreterUnderEveryOrganization) {
+  OrgType org = GetParam();
+  OracleTally tally;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Random rng(seed * 104729 + static_cast<uint64_t>(org));
+    Database db;
+    OrgPolicy policy;
+    policy.forced = true;
+    policy.forced_type = org;
+    PredicateIndex index(&db, policy);
+    ASSERT_TRUE(index.RegisterDataSource(1, RestSchema()).ok());
+    TriggerId next = 1;
+    std::vector<int> shapes;
+    for (int shape = 0; shape < 30; ++shape) shapes.push_back(shape);
+    InstallRestPredicates(&index, &rng, shapes, 120, &next);
+    // Some classes run one compiled program, the nosuchfn ones the
+    // interpreter.
+    uint64_t with_rest = 0;
+    for (const auto& sig : index.source(1)->entries()) {
+      if (sig->context().split.rest != nullptr) ++with_rest;
+    }
+    PredicateIndexStats st = index.stats();
+    EXPECT_GT(st.rest_programs, 0u);
+    EXPECT_LT(st.rest_programs, with_rest);
+    ExpectAgreesWithInterpreter(index, RandomRestTuples(&rng, 64),
+                                "seed " + std::to_string(seed), &tally);
+  }
+  EXPECT_GT(tally.matches, 0u);
+  EXPECT_GT(tally.errors, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOrganizations, SharedRestProgramTest,
+                         ::testing::Values(OrgType::kMemoryList,
+                                           OrgType::kMemoryIndex,
+                                           OrgType::kDbTable,
+                                           OrgType::kDbIndexedTable),
+                         OrgTestName);
+
+TEST(SharedRestProgramMigrationTest, AgreesAcrossMigrationAndAdaptiveSwap) {
+  Random rng(2718);
+  Database db;
+  OrgPolicy policy;
+  policy.list_max = 3;
+  policy.memory_max = 10;  // larger classes move to an indexed table
+  PredicateIndex index(&db, policy);
+  ASSERT_TRUE(index.RegisterDataSource(1, RestSchema()).ok());
+  TriggerId next = 1;
+  std::set<OrgType> seen;
+  // Unindexed, equality and range classes, two of them on the interpreter.
+  const std::vector<int> shapes = {3, 9, 10, 14, 19, 22};
+  for (int round = 0; round < 6; ++round) {
+    InstallRestPredicates(&index, &rng, shapes, 12, &next);
+    for (const auto& sig : index.source(1)->entries()) {
+      seen.insert(sig->org_type());
+    }
+    ExpectAgreesWithInterpreter(index, RandomRestTuples(&rng, 48),
+                                "round " + std::to_string(round));
+  }
+  EXPECT_TRUE(seen.count(OrgType::kMemoryList) > 0 &&
+              seen.count(OrgType::kMemoryIndex) > 0 &&
+              seen.count(OrgType::kDbIndexedTable) > 0);
+
+  // Adaptive swap: rebuild each memory class offside in the other memory
+  // organization and install it, as the re-optimizer does.
+  int swapped = 0;
+  for (const auto& sig : index.source(1)->entries()) {
+    OrgType from = sig->org_type();
+    if (from != OrgType::kMemoryList && from != OrgType::kMemoryIndex) {
+      continue;
+    }
+    OrgType to = from == OrgType::kMemoryList ? OrgType::kMemoryIndex
+                                              : OrgType::kMemoryList;
+    std::vector<PredicateEntry> snapshot;
+    ASSERT_TRUE(sig->SnapshotEntries(&snapshot).ok());
+    auto fresh = sig->BuildOrganization(to, snapshot);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    ASSERT_TRUE(
+        sig->InstallOrganization(std::move(*fresh), sig->version()).ok());
+    ++swapped;
+  }
+  EXPECT_GT(swapped, 0);
+  ExpectAgreesWithInterpreter(index, RandomRestTuples(&rng, 64),
+                              "after adaptive swap");
+}
 
 // --- discrimination networks vs naive evaluation ----------------------------
 
