@@ -75,15 +75,23 @@ void TriggerCache::Put(TriggerId id, TriggerHandle handle) {
 
 void TriggerCache::InsertLocked(Shard& shard, TriggerId id,
                                 TriggerHandle handle) {
+  size_t ring_pos = shard.ring.size();
+  if (shard.slots.size() >= shard_capacity_ && !shard.ring.empty()) {
+    // Full: the new entry takes the victim's place in the ring, and the
+    // hand moves past it, so the new entry gets a whole revolution.
+    ring_pos = EvictLocked(shard);
+    shard.ring[ring_pos] = id;
+    shard.hand = (ring_pos + 1) % shard.ring.size();
+  } else {
+    shard.ring.push_back(id);
+  }
   Slot& slot = shard.slots[id];
   slot.handle = std::move(handle);
   // New entries start unreferenced: only an actual hit earns the second
   // chance, which preserves the scan-resistance of strict LRU for
   // load-once workloads.
   slot.referenced.store(false, std::memory_order_relaxed);
-  slot.ring_pos = shard.ring.size();
-  shard.ring.push_back(id);
-  EvictIfNeededLocked(shard);
+  slot.ring_pos = ring_pos;
 }
 
 void TriggerCache::RemoveFromRingLocked(Shard& shard, size_t ring_pos) {
@@ -101,21 +109,21 @@ void TriggerCache::RemoveFromRingLocked(Shard& shard, size_t ring_pos) {
   }
 }
 
-void TriggerCache::EvictIfNeededLocked(Shard& shard) {
-  while (shard.slots.size() > shard_capacity_ && !shard.ring.empty()) {
+size_t TriggerCache::EvictLocked(Shard& shard) {
+  for (;;) {
     TriggerId candidate = shard.ring[shard.hand];
-    Slot& slot = shard.slots[candidate];
-    if (slot.referenced.load(std::memory_order_relaxed)) {
+    auto it = shard.slots.find(candidate);
+    if (it->second.referenced.load(std::memory_order_relaxed)) {
       // Second chance: clear the bit and advance the hand.
-      slot.referenced.store(false, std::memory_order_relaxed);
+      it->second.referenced.store(false, std::memory_order_relaxed);
       shard.hand = (shard.hand + 1) % shard.ring.size();
       continue;
     }
-    RemoveFromRingLocked(shard, shard.hand);
-    shard.slots.erase(candidate);
+    shard.slots.erase(it);
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
     // Pinned handles stay alive through their shared_ptr even after the
     // slot is gone — eviction only drops the cache's reference.
+    return shard.hand;
   }
 }
 

@@ -107,11 +107,13 @@ class TriggerCache {
 
   Shard& ShardFor(TriggerId id) const;
 
-  /// Inserts `handle` into `shard` and runs the CLOCK hand if the shard
-  /// outgrew its share of the capacity. Requires the shard's exclusive
-  /// lock.
+  /// Inserts `handle` into `shard`; a full shard first evicts the CLOCK
+  /// hand's victim and gives its ring position to the new entry.
+  /// Requires the shard's exclusive lock (as do the two below).
   void InsertLocked(Shard& shard, TriggerId id, TriggerHandle handle);
-  void EvictIfNeededLocked(Shard& shard);
+  /// Runs the CLOCK hand to an unreferenced entry, erases it, and returns
+  /// its ring position (the hand stays on it).
+  size_t EvictLocked(Shard& shard);
   void RemoveFromRingLocked(Shard& shard, size_t ring_pos);
 
   const size_t capacity_;

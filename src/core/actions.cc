@@ -25,39 +25,40 @@ std::string ReadIdent(const std::string& s, size_t* pos) {
 
 Result<Value> ActionExecutor::ResolveMacro(bool is_new, const std::string& var,
                                            const std::string& attr,
+                                           const ActionTemplate& action,
                                            const ActionContext& ctx) const {
-  const TriggerRuntime* t = ctx.trigger;
-  const auto& nodes = t->graph.nodes();
+  const std::vector<ActionVar>& vars = action.vars;
 
   if (!is_new) {
     // :OLD refers to the pre-update image, which only exists for the
     // token's own tuple variable.
-    const std::string& arrival_var = nodes[ctx.arrival_node].info.var;
+    const std::string& arrival_var = vars[ctx.arrival_node].var;
     if (!var.empty() && !EqualsIgnoreCase(var, arrival_var)) {
       return Status::InvalidArgument(
           ":OLD." + var + " does not name the updated tuple variable (" +
           arrival_var + ")");
     }
-    if (!ctx.token.old_tuple.has_value()) {
+    if (!ctx.token->old_tuple.has_value()) {
       return Status::InvalidArgument(
           ":OLD reference in a trigger fired by an insert");
     }
-    const Schema& schema = t->network->node_schema(ctx.arrival_node);
+    const Schema& schema = vars[ctx.arrival_node].schema;
     TMAN_ASSIGN_OR_RETURN(size_t f, schema.RequireField(attr));
-    return ctx.token.old_tuple->at(f);
+    return ctx.token->old_tuple->at(f);
   }
 
   // :NEW — qualified: the named variable's binding; unqualified: the
   // unique binding that has the attribute.
   Bindings b;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    b.Bind(nodes[i].info.var, &t->network->node_schema(i), &ctx.bindings[i]);
+  for (size_t i = 0; i < vars.size(); ++i) {
+    b.Bind(vars[i].var, &vars[i].schema, ctx.bindings[i]);
   }
   return b.Lookup(ToLower(var), ToLower(attr));
 }
 
 Result<std::string> ActionExecutor::SubstituteMacros(
-    const std::string& sql, const ActionContext& ctx) const {
+    const std::string& sql, const ActionTemplate& action,
+    const ActionContext& ctx) const {
   std::string out;
   out.reserve(sql.size());
   size_t pos = 0;
@@ -91,9 +92,9 @@ Result<std::string> ActionExecutor::SubstituteMacros(
       // actually names one; otherwise back off to the one-part form
       // (e.g. ":NEW.salary.x" in "salary.x" table-qualified SQL).
       bool known_var = false;
-      for (const auto& n : ctx.trigger->graph.nodes()) {
-        if (EqualsIgnoreCase(n.info.var, first) ||
-            EqualsIgnoreCase(n.info.source_name, first)) {
+      for (const ActionVar& v : action.vars) {
+        if (EqualsIgnoreCase(v.var, first) ||
+            EqualsIgnoreCase(v.source, first)) {
           known_var = true;
           break;
         }
@@ -105,22 +106,20 @@ Result<std::string> ActionExecutor::SubstituteMacros(
         pos = dot;  // rewind: treat as :NEW.attr
       }
     }
-    TMAN_ASSIGN_OR_RETURN(Value v, ResolveMacro(is_new, var, attr, ctx));
+    TMAN_ASSIGN_OR_RETURN(Value v,
+                          ResolveMacro(is_new, var, attr, action, ctx));
     out += v.ToString();
   }
   return out;
 }
 
-Status ActionExecutor::Execute(const ActionContext& ctx) {
-  return ExecuteSpec(ctx, ctx.trigger->cmd.action);
-}
-
-Status ActionExecutor::ExecuteSpec(const ActionContext& ctx,
-                                   const ActionSpec& action) {
+Status ActionExecutor::Execute(const FiringPlan& plan,
+                               const ActionContext& ctx) {
   actions_.fetch_add(1, std::memory_order_relaxed);
+  const ActionTemplate& action = *plan.action;
   if (action.kind == ActionKind::kExecSql) {
     TMAN_ASSIGN_OR_RETURN(std::string sql,
-                          SubstituteMacros(action.sql, ctx));
+                          SubstituteMacros(action.sql, action, ctx));
     auto result = ExecuteSql(db_, sql);
     if (!result.ok()) {
       errors_.fetch_add(1, std::memory_order_relaxed);
@@ -131,22 +130,12 @@ Status ActionExecutor::ExecuteSpec(const ActionContext& ctx,
   }
 
   // raise event
-  Bindings b;
-  const auto& nodes = ctx.trigger->graph.nodes();
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    b.Bind(nodes[i].info.var, &ctx.trigger->network->node_schema(i),
-           &ctx.bindings[i]);
-  }
   Event event;
   event.name = action.event_name;
-  event.args.reserve(action.event_args.size());
-  for (const ExprPtr& arg : action.event_args) {
-    auto v = EvalExpr(arg, b);
-    if (!v.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return v.status();
-    }
-    event.args.push_back(*v);
+  Status s = plan.EvalArgs(ctx, &event.args);
+  if (!s.ok()) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    return s;
   }
   events_->Raise(std::move(event));
   raised_.fetch_add(1, std::memory_order_relaxed);

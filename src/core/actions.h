@@ -5,21 +5,10 @@
 #include <vector>
 
 #include "core/events.h"
-#include "core/trigger.h"
+#include "core/firing_plan.h"
 #include "db/database.h"
 
 namespace tman {
-
-/// Everything an action needs about the firing that triggered it: the
-/// trigger, the complete variable bindings from the P-node (aligned with
-/// the condition graph nodes), the token that caused the firing, and the
-/// node where it arrived (for :OLD references).
-struct ActionContext {
-  const TriggerRuntime* trigger = nullptr;
-  std::vector<Tuple> bindings;
-  UpdateDescriptor token;
-  NetworkNodeId arrival_node = 0;
-};
 
 struct ActionStats {
   uint64_t actions_executed = 0;
@@ -37,16 +26,14 @@ class ActionExecutor {
   ActionExecutor(Database* db, EventManager* events)
       : db_(db), events_(events) {}
 
-  Status Execute(const ActionContext& ctx);
-
-  /// Executes with an explicit action spec (aggregate triggers substitute
-  /// group values into the action arguments before execution).
-  Status ExecuteSpec(const ActionContext& ctx, const ActionSpec& action);
+  /// Runs `plan`'s action for one firing.
+  Status Execute(const FiringPlan& plan, const ActionContext& ctx);
 
   /// Substitutes :NEW.var.attr / :OLD.var.attr (and unqualified
-  /// :NEW.attr) macros with SQL literals from the firing's bindings.
-  /// Exposed for tests.
+  /// :NEW.attr) macros with SQL literals from the firing's bindings,
+  /// laid out as `action.vars`. Exposed for tests.
   Result<std::string> SubstituteMacros(const std::string& sql,
+                                       const ActionTemplate& action,
                                        const ActionContext& ctx) const;
 
   ActionStats stats() const;
@@ -54,6 +41,7 @@ class ActionExecutor {
  private:
   Result<Value> ResolveMacro(bool is_new, const std::string& var,
                              const std::string& attr,
+                             const ActionTemplate& action,
                              const ActionContext& ctx) const;
 
   Database* db_;

@@ -266,15 +266,6 @@ Result<std::vector<GroupByEvaluator::Firing>> GroupByEvaluator::Apply(
   return firings;
 }
 
-Result<ExprPtr> GroupByEvaluator::InstantiateActionArg(
-    size_t arg_index, const Firing& firing) const {
-  if (arg_index >= action_arg_templates_.size()) {
-    return Status::InvalidArgument("no such action argument");
-  }
-  return BindPlaceholders(action_arg_templates_[arg_index],
-                          firing.agg_values);
-}
-
 size_t GroupByEvaluator::num_groups() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return groups_.size();

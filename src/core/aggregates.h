@@ -70,11 +70,11 @@ class GroupByEvaluator {
   /// the groups regardless of the trigger's event clause.
   Result<std::vector<Firing>> ApplyDelta(const Tuple& tuple, bool add);
 
-  /// Instantiates an action argument for a firing: aggregate placeholders
-  /// are bound to the firing's values; the returned expression is then
-  /// evaluated against the token tuple by the caller.
-  Result<ExprPtr> InstantiateActionArg(size_t arg_index,
-                                       const Firing& firing) const;
+  /// The action arguments with each aggregate call replaced by
+  /// CONSTANT_i, i-1 indexing a Firing's agg_values.
+  const std::vector<ExprPtr>& action_arg_templates() const {
+    return action_arg_templates_;
+  }
 
   size_t num_groups() const;
   size_t num_aggregates() const { return specs_.size(); }

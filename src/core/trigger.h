@@ -23,7 +23,6 @@ struct TriggerRuntime {
   TriggerId id = 0;
   uint64_t ts_id = 0;
   std::string name;   // lowercase
-  std::string text;   // original create trigger statement
 
   CreateTriggerCmd cmd;          // parsed syntax tree
   ConditionGraph graph;          // condition graph (§5.1 step 3)

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "core/firing_plan.h"
+
 namespace tman {
 
 namespace {
@@ -15,7 +17,8 @@ Status OutOfRange(const char* what, uint64_t id) {
 }  // namespace
 
 Status TriggerDirectory::Install(TriggerId id, uint64_t ts_id, uint32_t kind,
-                                 const std::vector<DataSourceId>& sources) {
+                                 const std::vector<DataSourceId>& sources,
+                                 std::shared_ptr<const FiringPlan> plan) {
   if (id >= kCapacity) return OutOfRange("trigger", id);
   if (ts_id >= kCapacity) return OutOfRange("trigger set", ts_id);
   kind &= kMultiVariable | kAggregate;
@@ -29,14 +32,21 @@ Status TriggerDirectory::Install(TriggerId id, uint64_t ts_id, uint32_t kind,
   }
   Slot* slot = slots_.Ensure(id);
   slot->ts_id.store(static_cast<uint32_t>(ts_id), std::memory_order_relaxed);
+  slot->plan.store(plan.get(), std::memory_order_release);
+  slot->owner = std::move(plan);
   slot->flags.store(kLive | kEnabled | kind, std::memory_order_release);
   return Status::OK();
 }
 
-uint32_t TriggerDirectory::Remove(TriggerId id) {
+uint32_t TriggerDirectory::Remove(TriggerId id,
+                                  std::shared_ptr<const FiringPlan>* plan) {
   Slot* slot = slots_.FindMutable(id);
   if (slot == nullptr) return 0;
-  return slot->flags.exchange(0, std::memory_order_acq_rel);
+  uint32_t flags = slot->flags.exchange(0, std::memory_order_acq_rel);
+  slot->plan.store(nullptr, std::memory_order_release);
+  if (plan != nullptr) *plan = std::move(slot->owner);
+  slot->owner.reset();
+  return flags;
 }
 
 void TriggerDirectory::ReleaseSources(

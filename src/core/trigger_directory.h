@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "predindex/predicate_entry.h"
@@ -12,12 +13,14 @@
 
 namespace tman {
 
+struct FiringPlan;
+
 /// The dispatch state the token pipeline reads on every predicate match
 /// (§5.4: "predicate index match → pin the trigger → pass the token to
 /// its network node"): per trigger, whether it is live and enabled,
-/// whether it keeps join memories or aggregate state, and its trigger
-/// set; per trigger set, whether it is enabled; per data source, how many
-/// triggers need the maintenance pass.
+/// whether it keeps join memories or aggregate state, its trigger set and
+/// its firing plan; per trigger set, whether it is enabled; per data
+/// source, how many triggers need the maintenance pass.
 ///
 /// Readers take no lock. Every table is a dense array indexed by id
 /// (the catalog hands out trigger and trigger-set ids in order from 1 and
@@ -60,11 +63,21 @@ class TriggerDirectory {
     return flags;
   }
 
-  /// True when a fire-pass match of this trigger should pin and run it:
-  /// live, enabled (trigger and set) and not an aggregate (aggregates
-  /// fire from the maintenance pass).
+  /// True when a fire-pass match of this trigger should fire it: live,
+  /// enabled (trigger and set) and not an aggregate (aggregates fire from
+  /// the maintenance pass).
   static bool Fires(uint32_t flags) {
     return (flags & (kLive | kEnabled | kAggregate)) == (kLive | kEnabled);
+  }
+
+  /// The trigger's firing plan; null once Remove ran. The plan stays
+  /// valid while the caller holds the predicate-index stripe lock under
+  /// which one of the trigger's predicates matched: its owner frees it
+  /// only after RemovePredicate took every such stripe exclusively.
+  const FiringPlan* Plan(TriggerId id) const {
+    const Slot* slot = slots_.Find(id);
+    return slot == nullptr ? nullptr
+                           : slot->plan.load(std::memory_order_acquire);
   }
 
   /// True when some live trigger on `source` needs the maintenance pass.
@@ -75,15 +88,20 @@ class TriggerDirectory {
 
   // --- writers (serialized by the caller) -----------------------------------
 
-  /// Publishes a live, enabled trigger. `kind` is kMultiVariable and/or
-  /// kAggregate (0 for a selection trigger); a trigger of either kind
-  /// counts once per entry of `sources` toward NeedsMaintenance. Changes
-  /// nothing when an id is out of range.
+  /// Publishes a live, enabled trigger and its firing plan. `kind` is
+  /// kMultiVariable and/or kAggregate (0 for a selection trigger); a
+  /// trigger of either kind counts once per entry of `sources` toward
+  /// NeedsMaintenance. Changes nothing when an id is out of range.
   Status Install(TriggerId id, uint64_t ts_id, uint32_t kind,
-                 const std::vector<DataSourceId>& sources);
+                 const std::vector<DataSourceId>& sources,
+                 std::shared_ptr<const FiringPlan> plan = nullptr);
 
   /// Stops dispatch of `id`; returns the flags it had (0 if not live).
-  uint32_t Remove(TriggerId id);
+  /// The plan leaves the slot into `plan`, whose holder keeps it until no
+  /// fire pass can still read it (see Plan); without `plan` it is freed
+  /// at once.
+  uint32_t Remove(TriggerId id,
+                  std::shared_ptr<const FiringPlan>* plan = nullptr);
 
   /// Takes back the maintenance counts Install added for a removed
   /// trigger of kind kMultiVariable or kAggregate.
@@ -96,6 +114,8 @@ class TriggerDirectory {
   struct Slot {
     std::atomic<uint32_t> flags{0};
     std::atomic<uint32_t> ts_id{0};
+    std::atomic<const FiringPlan*> plan{nullptr};  // owner.get() or null
+    std::shared_ptr<const FiringPlan> owner;       // writers only
   };
 
   /// Dense id → T table in chunks that, once published, never move.

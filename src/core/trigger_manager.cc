@@ -313,7 +313,6 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   runtime->id = trigger_id;
   runtime->ts_id = ts_id;
   runtime->name = ToLower(cmd.name);
-  runtime->text = cmd.original_text;
   runtime->cmd = cmd;
   runtime->graph = graph;
   // Stash the normalized update-columns and qualified aggregate clauses
@@ -401,13 +400,14 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
   // Prime stored alpha memories from current table contents.
   TMAN_RETURN_IF_ERROR(runtime->network->Prime());
 
+  const uint32_t kind =
+      (runtime->multi_variable() ? TriggerDirectory::kMultiVariable : 0) |
+      (runtime->aggregate != nullptr ? TriggerDirectory::kAggregate : 0);
+  std::shared_ptr<const FiringPlan> plan = action_templates_.MakePlan(*runtime);
   {
     std::unique_lock lock(meta_mutex_);
-    uint32_t kind =
-        (runtime->multi_variable() ? TriggerDirectory::kMultiVariable : 0) |
-        (runtime->aggregate != nullptr ? TriggerDirectory::kAggregate : 0);
     Status s = directory_.Install(trigger_id, ts_id, kind,
-                                  NodeSources(*runtime));
+                                  NodeSources(*runtime), std::move(plan));
     if (!s.ok()) {
       for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
       return s;
@@ -420,7 +420,9 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
     }
   }
 
-  cache_->Put(trigger_id, TriggerHandle(runtime));
+  // Join memories and aggregate state live in the runtime, so the cache
+  // keeps it; a selection trigger fires from its plan alone.
+  if (kind != 0) cache_->Put(trigger_id, TriggerHandle(runtime));
   return Status::OK();
 }
 
@@ -449,6 +451,9 @@ Status TriggerManager::DropTrigger(const std::string& name) {
   TriggerId id = 0;
   std::vector<ExprId> expr_ids;
   uint32_t flags = 0;
+  // Freed on return, once RemovePredicate below has taken every stripe
+  // a fire pass could read it under exclusively.
+  std::shared_ptr<const FiringPlan> plan;
   {
     std::unique_lock lock(meta_mutex_);
     auto it = trigger_by_name_.find(lname);
@@ -462,7 +467,7 @@ Status TriggerManager::DropTrigger(const std::string& name) {
       expr_ids_by_trigger_.erase(eit);
     }
     trigger_by_name_.erase(it);
-    flags = directory_.Remove(id);
+    flags = directory_.Remove(id, &plan);
     aggregates_.erase(id);
   }
   // Fix per-source maintenance counts using the runtime if available.
@@ -756,9 +761,10 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
               return;
             }
             if (is_aggregate) {
-              if ((*pinned)->aggregate != nullptr) {
-                Status s =
-                    RunAggregateDelta(*pinned, token, tuple, add, m.next_node);
+              const FiringPlan* plan = directory_.Plan(m.trigger_id);
+              if (plan != nullptr && (*pinned)->aggregate != nullptr) {
+                Status s = RunAggregateDelta(*plan, *pinned, token, tuple,
+                                             add, m.next_node);
                 if (!s.ok()) inner = s;
               }
               return;
@@ -803,13 +809,7 @@ Status TriggerManager::ProcessToken(const UpdateDescriptor& token,
   TMAN_RETURN_IF_ERROR(pindex_->MatchPartitioned(
       token, partition, num_partitions, [&](const PredicateMatch& m) {
         if (!inner.ok()) return;
-        if (!TriggerDirectory::Fires(directory_.Flags(m.trigger_id))) return;
-        auto pinned = cache_->Pin(m.trigger_id);
-        if (!pinned.ok()) {
-          inner = pinned.status();
-          return;
-        }
-        Status s = RunFiring(m, *pinned, token);
+        Status s = RunFiring(m, token);
         if (!s.ok()) inner = s;
       }));
   return inner;
@@ -862,15 +862,7 @@ Status TriggerManager::ProcessTokenBatch(
         [&](size_t lane, const PredicateMatch& m) {
           size_t orig = any_failed ? lane_map[lane] : lane;
           if (!lane_status[orig].ok()) return;
-          if (!TriggerDirectory::Fires(directory_.Flags(m.trigger_id))) {
-            return;
-          }
-          auto pinned = cache_->Pin(m.trigger_id);
-          if (!pinned.ok()) {
-            lane_status[orig] = pinned.status();
-            return;
-          }
-          Status s = RunFiring(m, *pinned, tokens[orig]);
+          Status s = RunFiring(m, tokens[orig]);
           if (!s.ok()) lane_status[orig] = s;
         },
         &match_status);
@@ -889,63 +881,83 @@ Status TriggerManager::ProcessTokenBatch(
 }
 
 Status TriggerManager::RunFiring(const PredicateMatch& match,
-                                 const TriggerHandle& trigger,
                                  const UpdateDescriptor& token) {
+  if (!TriggerDirectory::Fires(directory_.Flags(match.trigger_id))) {
+    return Status::OK();
+  }
+  // Read under the stripe lock the match came from, which keeps the plan
+  // alive (TriggerDirectory::Plan).
+  const FiringPlan* plan = directory_.Plan(match.trigger_id);
+  if (plan == nullptr) return Status::OK();
+  const Tuple& tuple = token.EffectiveTuple();
+  if (!plan->network) {
+    // One tuple variable: the predicate index decided the whole
+    // condition, and the P-node is the next network node (§5.4).
+    StageTimer fire_timer(&stage_metrics_, Stage::kFire, 1);
+    rule_firings_.fetch_add(1, std::memory_order_relaxed);
+    const Tuple* binding = &tuple;
+    RunAction(*plan, ActionContext{&binding, &token, match.next_node});
+    return Status::OK();
+  }
+  TMAN_ASSIGN_OR_RETURN(TriggerHandle trigger, cache_->Pin(match.trigger_id));
   StageTimer fire_timer(&stage_metrics_, Stage::kFire, 0);
   uint64_t fired = 0;
+  std::vector<const Tuple*> row;
   return trigger->network->MatchJoins(
-      match.next_node, token.EffectiveTuple(),
-      [&](const std::vector<Tuple>& bindings) {
+      match.next_node, tuple, [&](const std::vector<Tuple>& bindings) {
         rule_firings_.fetch_add(1, std::memory_order_relaxed);
         fire_timer.set_items(++fired);
-        ActionContext ctx;
-        ctx.trigger = trigger.get();
-        ctx.bindings = bindings;
-        ctx.token = token;
-        ctx.arrival_node = match.next_node;
-        if (options_.concurrent_actions) {
-          // Rule action concurrency (§6): actions run as their own tasks.
-          Task task;
-          task.kind = TaskKind::kRunAction;
-          TriggerHandle keep_alive = trigger;
-          auto ctx_ptr = std::make_shared<ActionContext>(std::move(ctx));
-          ctx_ptr->trigger = keep_alive.get();
-          task.work = [this, keep_alive, ctx_ptr]() {
-            return actions_->Execute(*ctx_ptr);
-          };
-          task_queue_.Push(std::move(task));
-          return;
-        }
-        Status s = actions_->Execute(ctx);
-        if (!s.ok()) {
-          TMAN_LOG(kWarn) << "action of trigger " << trigger->name
-                          << " failed: " << s.ToString();
-        }
+        row.clear();
+        for (const Tuple& t : bindings) row.push_back(&t);
+        RunAction(*plan, ActionContext{row.data(), &token, match.next_node});
       });
 }
 
-Status TriggerManager::RunAggregateDelta(const TriggerHandle& trigger,
+void TriggerManager::RunAction(const FiringPlan& plan,
+                               const ActionContext& ctx) {
+  if (options_.concurrent_actions) {
+    // Rule action concurrency (§6): the action runs as its own task,
+    // holding the plan and copies of what it binds.
+    std::vector<Tuple> bindings;
+    for (size_t i = 0; i < plan.action->vars.size(); ++i) {
+      bindings.push_back(*ctx.bindings[i]);
+    }
+    Task task;
+    task.kind = TaskKind::kRunAction;
+    task.work = [this, keep_alive = plan.shared_from_this(),
+                 bindings = std::move(bindings), token = *ctx.token,
+                 node = ctx.arrival_node]() {
+      std::vector<const Tuple*> row;
+      for (const Tuple& t : bindings) row.push_back(&t);
+      return actions_->Execute(*keep_alive,
+                               ActionContext{row.data(), &token, node});
+    };
+    task_queue_.Push(std::move(task));
+    return;
+  }
+  Status s = actions_->Execute(plan, ctx);
+  if (!s.ok()) {
+    TMAN_LOG(kWarn) << "action of trigger " << plan.name
+                    << " failed: " << s.ToString();
+  }
+}
+
+Status TriggerManager::RunAggregateDelta(const FiringPlan& plan,
+                                         const TriggerHandle& trigger,
                                          const UpdateDescriptor& token,
                                          const Tuple& tuple, bool add,
                                          NetworkNodeId arrival_node) {
   GroupByEvaluator* agg = trigger->aggregate.get();
   TMAN_ASSIGN_OR_RETURN(auto firings, agg->ApplyDelta(tuple, add));
+  const Tuple* binding = &tuple;
   for (const GroupByEvaluator::Firing& firing : firings) {
     rule_firings_.fetch_add(1, std::memory_order_relaxed);
-    ActionContext ctx;
-    ctx.trigger = trigger.get();
-    ctx.bindings = {tuple};
-    ctx.token = token;
-    ctx.arrival_node = arrival_node;
-    // Substitute the group's aggregate values into the action arguments.
-    ActionSpec spec = trigger->cmd.action;
-    for (size_t i = 0; i < spec.event_args.size(); ++i) {
-      TMAN_ASSIGN_OR_RETURN(spec.event_args[i],
-                            agg->InstantiateActionArg(i, firing));
-    }
-    Status s = actions_->ExecuteSpec(ctx, spec);
+    // The group's aggregate values lead the action's parameters.
+    Status s = actions_->Execute(
+        plan, ActionContext{&binding, &token, arrival_node,
+                            &firing.agg_values});
     if (!s.ok()) {
-      TMAN_LOG(kWarn) << "aggregate action of trigger " << trigger->name
+      TMAN_LOG(kWarn) << "aggregate action of trigger " << plan.name
                       << " failed: " << s.ToString();
     }
   }

@@ -19,6 +19,7 @@
 #include "core/aggregates.h"
 #include "core/data_source.h"
 #include "core/events.h"
+#include "core/firing_plan.h"
 #include "core/trigger.h"
 #include "core/trigger_directory.h"
 #include "core/update_log.h"
@@ -35,7 +36,9 @@ namespace tman {
 /// Configuration of a TriggerMan instance.
 struct TriggerManagerOptions {
   /// Trigger cache capacity in trigger descriptions (§5.1's example:
-  /// 16,384 descriptions fit a 64 MB cache at ~4 KB each).
+  /// 16,384 descriptions fit a 64 MB cache at ~4 KB each). Only triggers
+  /// with join or aggregate state are cached; selection triggers fire
+  /// from their resident firing plans.
   size_t trigger_cache_capacity = 16384;
 
   /// Constant-set organization policy (thresholds / forcing).
@@ -330,15 +333,22 @@ class TriggerManager {
   Status MaintainToken(const UpdateDescriptor& token, uint32_t partition,
                        uint32_t num_partitions);
 
-  /// Joins + actions for one fire-pass match of a non-aggregate trigger.
-  Status RunFiring(const PredicateMatch& match, const TriggerHandle& trigger,
-                   const UpdateDescriptor& token);
+  /// One fire-pass match: nothing unless the trigger fires (live,
+  /// enabled, not an aggregate); a trigger without a network fires
+  /// straight from its plan, the others pin their runtime and run its
+  /// joins. Must run under the stripe lock the match came from.
+  Status RunFiring(const PredicateMatch& match, const UpdateDescriptor& token);
+
+  /// Runs the plan's action for one firing, inline or, with
+  /// concurrent_actions, as its own task.
+  void RunAction(const FiringPlan& plan, const ActionContext& ctx);
 
   /// Aggregate-trigger path (driven from token maintenance, so deletes
   /// and updates reach group state regardless of the event clause): apply
   /// one tuple delta to the group-by evaluator and run the action for
   /// every group whose having condition just became true.
-  Status RunAggregateDelta(const TriggerHandle& trigger,
+  Status RunAggregateDelta(const FiringPlan& plan,
+                           const TriggerHandle& trigger,
                            const UpdateDescriptor& token, const Tuple& tuple,
                            bool add, NetworkNodeId arrival_node);
 
@@ -383,8 +393,10 @@ class TriggerManager {
   TaskQueue task_queue_;
   std::unique_ptr<DriverPool> drivers_;
 
-  // Per-match dispatch state, read lock-free by the token pipeline.
-  // DDL updates it under meta_mutex_'s exclusive lock.
+  // Builds each trigger's firing plan, sharing action templates.
+  ActionTemplates action_templates_;
+  // Per-match dispatch state and firing plans, read lock-free by the
+  // token pipeline. DDL updates it under meta_mutex_'s exclusive lock.
   TriggerDirectory directory_;
   // Guards the maps below and serializes directory writers. The token
   // pipeline never takes it; a cache miss (LoadTrigger) reads aggregates_.

@@ -73,20 +73,21 @@ ExprPtr Canonicalize(const ExprPtr& e) {
   return ExprPtr(out);
 }
 
-/// Replaces literals with CONSTANT_i placeholders, numbering left to
-/// right, and collects the constants.
-ExprPtr Generalize(const ExprPtr& e, std::vector<Value>* constants) {
+}  // namespace
+
+ExprPtr GeneralizeLiterals(const ExprPtr& e, int offset,
+                           std::vector<Value>* constants) {
   if (e == nullptr) return e;
   if (e->kind == ExprKind::kLiteral) {
     constants->push_back(e->literal);
-    return MakePlaceholder(static_cast<int>(constants->size()));
+    return MakePlaceholder(offset + static_cast<int>(constants->size()));
   }
   if (e->children.empty()) return e;
   std::vector<ExprPtr> children;
   children.reserve(e->children.size());
   bool changed = false;
   for (const ExprPtr& c : e->children) {
-    ExprPtr nc = Generalize(c, constants);
+    ExprPtr nc = GeneralizeLiterals(c, offset, constants);
     changed = changed || nc != c;
     children.push_back(std::move(nc));
   }
@@ -95,8 +96,6 @@ ExprPtr Generalize(const ExprPtr& e, std::vector<Value>* constants) {
   out->children = std::move(children);
   return ExprPtr(out);
 }
-
-}  // namespace
 
 Result<GeneralizedPredicate> GeneralizePredicate(DataSourceId ds, OpCode op,
                                                  const ExprPtr& predicate) {
@@ -109,8 +108,8 @@ Result<GeneralizedPredicate> GeneralizePredicate(DataSourceId ds, OpCode op,
   GeneralizedPredicate out;
   out.signature.data_source = ds;
   out.signature.op = op;
-  out.signature.generalized = Generalize(Canonicalize(predicate),
-                                         &out.constants);
+  out.signature.generalized =
+      GeneralizeLiterals(Canonicalize(predicate), 0, &out.constants);
   out.signature.num_constants = static_cast<int>(out.constants.size());
   return out;
 }

@@ -43,6 +43,14 @@ struct GeneralizedPredicate {
   std::vector<Value> constants;
 };
 
+/// Replaces every literal of `expr` with a placeholder and appends its
+/// value to `constants`: the literal that makes `constants` n long
+/// becomes CONSTANT_{offset+n}, so successive calls sharing one vector
+/// number left to right across expressions. Placeholders already in
+/// `expr` are kept (`offset` leaves room for them).
+ExprPtr GeneralizeLiterals(const ExprPtr& expr, int offset,
+                           std::vector<Value>* constants);
+
 /// Canonicalizes (comparisons put the column ref on the left: 50 < e.sal
 /// becomes e.sal > 50) and generalizes a selection predicate, extracting
 /// its constants. The predicate must reference at most one tuple variable.

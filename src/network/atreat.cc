@@ -45,7 +45,10 @@ Result<std::unique_ptr<ATreatNetwork>> ATreatNetwork::Build(
 }
 
 void ATreatNetwork::CompilePredicates() {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
+  // Selections are read only by a multi-variable network: Prime fills
+  // stored memories and Enumerate filters virtual nodes. A single-variable
+  // trigger's selection is the predicate index's alone.
+  for (size_t i = 0; i < nodes_.size() && nodes_.size() > 1; ++i) {
     ExprPtr selection = graph_.nodes()[i].SelectionPredicate();
     if (selection == nullptr) continue;
     BindingLayout layout;

@@ -77,8 +77,9 @@ class ATreatNetwork {
     std::unique_ptr<AlphaMemory> memory;  // stored nodes only
     Schema schema;
     /// The node's selection predicate compiled against its schema; null
-    /// when there is no predicate, the schema is unknown, or compilation
-    /// was refused (eval then falls back to the interpreter).
+    /// when there is no predicate, the network has a single node (nothing
+    /// reads it), or compilation was refused (eval then falls back to the
+    /// interpreter).
     std::shared_ptr<const CompiledPredicate> compiled_selection;
   };
 

@@ -2,6 +2,7 @@
 
 #include "core/trigger_manager.h"
 #include "db/sql.h"
+#include "expr/rewrite.h"
 #include "parser/parser.h"
 
 namespace tman {
@@ -113,7 +114,9 @@ TEST_F(EvaluatorTest, ActionArgInstantiation) {
   auto f = ev->Apply(Ins(1, 20));
   ASSERT_TRUE(f.ok());
   ASSERT_EQ(f->size(), 1u);
-  auto inst = ev->InstantiateActionArg(0, (*f)[0]);
+  ASSERT_EQ(ev->action_arg_templates().size(), 1u);
+  auto inst =
+      BindPlaceholders(ev->action_arg_templates()[0], (*f)[0].agg_values);
   ASSERT_TRUE(inst.ok());
   // The aggregate placeholder bound to 2: expression is (2 * 10).
   Bindings b;

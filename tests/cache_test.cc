@@ -50,6 +50,26 @@ TEST(TriggerCacheTest, LruEviction) {
   EXPECT_EQ(loads.load(), 4);
 }
 
+TEST(TriggerCacheTest, ClockReplacesTheVictimInPlace) {
+  // Each new entry takes its victim's ring slot and the hand moves past
+  // it, so the next insert evicts an older entry, not the newest one.
+  int loads = 0;
+  TriggerCache cache(
+      2,
+      [&](TriggerId id) -> Result<TriggerHandle> {
+        ++loads;
+        return MakeTrigger(id);
+      },
+      /*num_shards=*/1);
+  for (TriggerId id = 1; id <= 4; ++id) cache.Put(id, MakeTrigger(id));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  ASSERT_TRUE(cache.Pin(3).ok());
+  ASSERT_TRUE(cache.Pin(4).ok());
+  EXPECT_EQ(loads, 0);  // resident set {3, 4}
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
 TEST(TriggerCacheTest, TouchOnHitProtectsFromEviction) {
   TriggerCache cache(2, [&](TriggerId id) -> Result<TriggerHandle> {
     return MakeTrigger(id);

@@ -214,9 +214,9 @@ TEST(StressTest, MultiDriverBatchedSubmissionAllShardedLayers) {
   EXPECT_EQ(qstats.popped, qstats.pushed);
   EXPECT_GE(qstats.pushed,
             static_cast<uint64_t>(kSubmitters) * kBatches);
-  // Trigger pins were overwhelmingly cache hits (the working set is 16
-  // triggers against a 16k-capacity cache).
-  EXPECT_GT(stats.cache.hits, stats.cache.misses);
+  // Selection triggers fire from their resident firing plans: the trigger
+  // cache is never consulted.
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 0u);
 }
 
 TEST(StressTest, BPTreeSurvivesPoolFlushAndReopen) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/firing_plan.h"
+
 namespace tman {
 namespace {
 
@@ -30,6 +32,23 @@ TEST(TriggerDirectoryTest, InstallEnableRemove) {
   dir.SetEnabled(7, true);  // a removed trigger stays dead
   EXPECT_EQ(dir.Flags(7), 0u);
   EXPECT_EQ(dir.Remove(7), 0u);
+}
+
+TEST(TriggerDirectoryTest, PlansArePublishedAndHandedBackOnRemove) {
+  D dir;
+  auto plan = std::make_shared<FiringPlan>();
+  plan->id = 7;
+  const FiringPlan* raw = plan.get();
+  ASSERT_TRUE(dir.Install(7, 1, 0, {}, std::move(plan)).ok());
+  EXPECT_EQ(dir.Plan(7), raw);
+  dir.SetEnabled(7, false);
+  EXPECT_FALSE(D::Fires(dir.Flags(7)));
+  EXPECT_EQ(dir.Plan(7), raw);  // resident while disabled
+  std::shared_ptr<const FiringPlan> held;
+  EXPECT_EQ(dir.Remove(7, &held), D::kLive);
+  EXPECT_EQ(held.get(), raw);  // the caller frees it when safe
+  EXPECT_EQ(dir.Plan(7), nullptr);
+  EXPECT_EQ(dir.Plan(8), nullptr);
 }
 
 TEST(TriggerDirectoryTest, SetFlagGatesItsMembers) {

@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "core/trigger_manager.h"
 #include "db/sql.h"
+#include "expr/eval.h"
 
 namespace tman {
 namespace {
@@ -36,6 +38,19 @@ class TriggerManagerTest : public ::testing::Test {
                                           Value::Float(salary),
                                           Value::Int(dept)}))
                     .ok());
+  }
+
+  /// A second local table source for join triggers: dept(id, floor).
+  void CreateDeptTable() {
+    ASSERT_TRUE(db_->CreateTable("dept", Schema({{"id", DataType::kInt},
+                                                 {"floor", DataType::kInt}}))
+                    .ok());
+    ASSERT_TRUE(tman_->DefineLocalTableSource("dept").ok());
+  }
+
+  void InsertDept(int64_t id, int64_t floor) {
+    ASSERT_TRUE(
+        db_->Insert("dept", Tuple({Value::Int(id), Value::Int(floor)})).ok());
   }
 
   std::unique_ptr<Database> db_;
@@ -463,19 +478,28 @@ TEST_F(TriggerManagerTest, StagedTokensFireOnceAfterReopen) {
 }
 
 TEST_F(TriggerManagerTest, CacheEvictionReloadsDuringFiring) {
+  // Join triggers pin their runtime (network) on every firing; a tiny
+  // cache evicts and reloads them between firings.
   TriggerManagerOptions options;
   options.trigger_cache_capacity = 2;  // tiny: constant eviction
   Reset(options);
+  CreateDeptTable();
+  for (int64_t d = 0; d < 8; ++d) InsertDept(d, 100 + d);
+  ASSERT_TRUE(tman_->ProcessPending().ok());
   for (int i = 0; i < 8; ++i) {
     Exec("create trigger t" + std::to_string(i) +
-         " from emp on insert when emp.dept = " + std::to_string(i) +
-         " do raise event E" + std::to_string(i) + "()");
+         " from emp e, dept d on insert to e when e.dept = d.id and d.id = " +
+         std::to_string(i) + " do raise event E" + std::to_string(i) +
+         "(e.name, d.floor)");
   }
   for (int64_t d = 0; d < 8; ++d) {
     InsertEmp("x", 1, d);
   }
   ASSERT_TRUE(tman_->ProcessPending().ok());
-  EXPECT_EQ(tman_->events().num_raised(), 8u);
+  ASSERT_EQ(tman_->events().num_raised(), 8u);
+  for (const Event& e : tman_->events().History()) {
+    EXPECT_EQ(e.name, "E" + std::to_string(e.args[1].as_int() - 100));
+  }
   EXPECT_GT(tman_->cache().stats().evictions, 0u);
   EXPECT_GT(tman_->cache().stats().misses, 0u);
 }
@@ -491,6 +515,14 @@ TEST_F(TriggerManagerTest, AggregateStateSurvivesCacheEviction) {
     Exec("create trigger s" + std::to_string(i) +
          " from emp on insert do raise event Seen()");
   }
+  // Selection triggers never pin; this join trigger's pins are what
+  // evict the aggregate.
+  CreateDeptTable();
+  InsertDept(1, 10);
+  InsertDept(2, 20);
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  Exec("create trigger located from emp e, dept d on insert to e "
+       "when e.dept = d.id do raise event Located(e.name, d.floor)");
   std::vector<std::pair<int64_t, int64_t>> crowded;  // (dept, count)
   tman_->events().Register("Crowded", [&](const Event& e) {
     crowded.emplace_back(e.args[0].as_int(), e.args[1].as_int());
@@ -520,6 +552,80 @@ TEST_F(TriggerManagerTest, AggregateStateSurvivesCacheEviction) {
   Exec("enable trigger crowded");
   insert("h", 2);
   EXPECT_EQ(crowded, (Firings{{1, 3}, {2, 3}}));
+}
+
+TEST_F(TriggerManagerTest, SelectionTriggersFireWithoutTheCache) {
+  // Selection triggers fire from their resident firing plans, so the
+  // trigger cache's capacity cannot change what fires and no firing
+  // loads (or even looks up) a trigger description. Their action
+  // arguments run compiled: the interpreter is never called.
+  using Fired = std::multiset<std::string>;
+  auto run = [&](size_t capacity, bool durable, bool concurrent,
+                 Fired* fired) {
+    TriggerManagerOptions options;
+    options.trigger_cache_capacity = capacity;
+    options.persistent_queue = durable;
+    options.concurrent_actions = concurrent;
+    Reset(options);
+    auto ds = tman_->DefineStreamSource(
+        "feed", Schema({{"id", DataType::kInt},
+                        {"sym", DataType::kVarchar},
+                        {"v", DataType::kInt}}));
+    ASSERT_TRUE(ds.ok());
+    for (int i = 0; i < 24; ++i) {
+      std::string when = "feed.sym = 'S" + std::to_string(i % 4) + "'";
+      if (i % 3 == 1) when += " and feed.v > " + std::to_string(i);
+      if (i % 3 == 2) {
+        when += " and feed.v - feed.id < " + std::to_string(i * 2);
+      }
+      // Constants of two types share one action signature.
+      std::string constant = i % 2 == 0 ? std::to_string(i)
+                                        : "'c" + std::to_string(i) + "'";
+      Exec("create trigger s" + std::to_string(i) + " from feed when " +
+           when + " do raise event S(feed.id, " + constant +
+           ", feed.v * 2, upper(feed.sym))");
+    }
+    std::mutex mu;
+    tman_->events().Register("*", [&mu, fired](const Event& e) {
+      std::string key = e.name;
+      for (const Value& v : e.args) key += "," + v.ToString();
+      std::lock_guard<std::mutex> lock(mu);
+      fired->insert(key);
+    });
+    std::vector<UpdateDescriptor> batch;
+    for (int64_t id = 0; id < 64; ++id) {
+      batch.push_back(UpdateDescriptor::Insert(
+          *ds, Tuple({Value::Int(id), Value::String("S" + std::to_string(id % 5)),
+                      Value::Int(id * 7 % 50)})));
+    }
+    tman_->cache().ResetStats();
+    const uint64_t interpreted = InterpreterEvalCalls();
+    ASSERT_TRUE(tman_->SubmitUpdateBatch(batch).ok());
+    ASSERT_TRUE(tman_->ProcessPending().ok());
+    EXPECT_EQ(InterpreterEvalCalls(), interpreted);
+    TriggerCacheStats cache = tman_->cache().stats();
+    EXPECT_EQ(cache.hits + cache.misses, 0u);
+    EXPECT_EQ(tman_->cache().size(), 0u);
+    EXPECT_EQ(tman_->stats().actions.action_errors, 0u);
+    tman_.reset();  // the consumer captures `mu`
+  };
+
+  Fired reference;
+  run(TriggerManagerOptions().trigger_cache_capacity, false, false,
+      &reference);
+  EXPECT_GT(reference.size(), 64u);
+  for (size_t capacity : {size_t{1}, TriggerManagerOptions().trigger_cache_capacity}) {
+    for (bool durable : {false, true}) {
+      for (bool concurrent : {false, true}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                     (durable ? " durable" : " memory") +
+                     (concurrent ? " concurrent_actions" : ""));
+        Fired fired;
+        run(capacity, durable, concurrent, &fired);
+        EXPECT_EQ(fired, reference);
+      }
+    }
+  }
 }
 
 TEST_F(TriggerManagerTest, DdlRacesLockFreeDispatch) {
