@@ -7,10 +7,12 @@
 // in trigger count. Both run the same workload: N threshold subscriptions
 // (`symbol = SYM<i> and price > C`, one symbol per subscription, so every
 // tick has ~1 candidate and ~0.5 expected matches at every N) and a
-// stream of quote ticks.
+// stream of quote ticks. BM_MemorySelectionShape replays perfbench's
+// memory_selection population and quote stream at this layer.
 
 #include <malloc.h>
 
+#include <chrono>
 #include <map>
 #include <memory>
 
@@ -110,6 +112,129 @@ BENCHMARK(BM_NaivePerTriggerTesting)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The memory_selection shape (perfbench's headline workload) at the
+// index layer alone: per symbol one predicate of each of five signature
+// classes on `sym` (`sym = c`, with `price > p`, with `price < p`, and two
+// with a rest over two attributes), 20,000 symbols, and quotes with
+// Zipf(1.2) symbols. Every quote probes five classes with one symbol, so
+// this lane shows the cost of the equality probe. Range 1
+// selects scalar Match per token (0) or MatchBatch per 64-token batch
+// (1); ns_per_token is the wall time per token either way.
+
+constexpr int kShapeSymbols = 20000;
+constexpr size_t kShapeBatch = 64;
+
+Schema ShapeSchema() {
+  return Schema({{"id", DataType::kInt},
+                 {"sym", DataType::kVarchar},
+                 {"price", DataType::kInt},
+                 {"vol", DataType::kInt}});
+}
+
+PredicateIndex* ShapeIndex() {
+  static PredicateIndex* index = [] {
+    OrgPolicy policy;
+    policy.memory_max = 10000000;
+    auto* built = new PredicateIndex(nullptr, policy);
+    Check(built->RegisterDataSource(1, ShapeSchema()), "register");
+    Random rng(42);
+    auto jitter = [&](int64_t base, uint64_t width) {
+      return std::to_string(base + static_cast<int64_t>(rng.Uniform(width)));
+    };
+    for (int i = 0; i < 5 * kShapeSymbols; ++i) {
+      std::string cond = "t.sym = 'S" + std::to_string(i % kShapeSymbols) + "'";
+      switch (i / kShapeSymbols) {
+        case 0:
+          break;
+        case 1:
+          cond += " and t.price > " + jitter(400, 200);
+          break;
+        case 2:
+          cond += " and t.price < " + jitter(400, 200);
+          break;
+        case 3:
+          cond += " and t.price > " + jitter(200, 100) +
+                  " and t.vol - t.price > " + jitter(-100, 200);
+          break;
+        default:
+          cond += " and t.price < " + jitter(700, 100) +
+                  " and t.vol > t.price";
+          break;
+      }
+      PredicateSpec spec;
+      spec.data_source = 1;
+      spec.op = OpCode::kInsertOrUpdate;
+      spec.predicate = MustParse(cond);
+      spec.trigger_id = static_cast<TriggerId>(i + 1);
+      Check(built->AddPredicate(spec).status(), "add predicate");
+    }
+    return built;
+  }();
+  return index;
+}
+
+/// 65,536 quotes in 64-token batches.
+const std::vector<std::vector<UpdateDescriptor>>& ShapeStream() {
+  static const auto* stream = [] {
+    auto* batches = new std::vector<std::vector<UpdateDescriptor>>(1024);
+    ZipfGenerator zipf(kShapeSymbols, 1.2, 7);
+    Random rng(11);
+    int64_t id = 0;
+    for (auto& batch : *batches) {
+      for (size_t i = 0; i < kShapeBatch; ++i) {
+        batch.push_back(UpdateDescriptor::Insert(
+            1, Tuple({Value::Int(id++),
+                      Value::String("S" + std::to_string(zipf.Next())),
+                      Value::Int(static_cast<int64_t>(rng.Uniform(1000))),
+                      Value::Int(static_cast<int64_t>(rng.Uniform(1000)))})));
+      }
+    }
+    return batches;
+  }();
+  return *stream;
+}
+
+void BM_MemorySelectionShape(benchmark::State& state) {
+  const bool batched = state.range(0) != 0;
+  PredicateIndex* index = ShapeIndex();
+  const auto& stream = ShapeStream();
+  uint64_t tokens = 0;
+  uint64_t matches = 0;
+  size_t next = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const std::vector<UpdateDescriptor>& batch = stream[next];
+    next = (next + 1) % stream.size();
+    if (batched) {
+      Check(index->MatchBatch(batch, 0, 1,
+                              [&](size_t, const PredicateMatch&) {
+                                ++matches;
+                              }),
+            "match batch");
+    } else {
+      std::vector<PredicateMatch> out;
+      for (const UpdateDescriptor& token : batch) {
+        out.clear();
+        Check(index->Match(token, &out), "match");
+        matches += out.size();
+      }
+    }
+    tokens += batch.size();
+    benchmark::DoNotOptimize(matches);
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  state.counters["ns_per_token"] = elapsed_ns / static_cast<double>(tokens);
+  state.counters["matches_per_token"] =
+      static_cast<double>(matches) / static_cast<double>(tokens);
+}
+BENCHMARK(BM_MemorySelectionShape)
+    ->ArgName("batched")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 /// Heap bytes in use (glibc arena plus mmap'd blocks).

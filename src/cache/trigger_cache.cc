@@ -22,7 +22,6 @@ TriggerCache::TriggerCache(size_t capacity, TriggerLoader loader,
   for (uint32_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  shard_capacity_ = (capacity_ + num_shards - 1) / num_shards;  // ceil
 }
 
 TriggerCache::Shard& TriggerCache::ShardFor(TriggerId id) const {
@@ -75,15 +74,29 @@ void TriggerCache::Put(TriggerId id, TriggerHandle handle) {
 
 void TriggerCache::InsertLocked(Shard& shard, TriggerId id,
                                 TriggerHandle handle) {
+  // Capacity is the whole cache's: a shard grows while any room is left,
+  // so a cache sized to its population never evicts, however unevenly
+  // the ids hash to shards. `resident_` counts reserved entries and never
+  // exceeds capacity.
   size_t ring_pos = shard.ring.size();
-  if (shard.slots.size() >= shard_capacity_ && !shard.ring.empty()) {
-    // Full: the new entry takes the victim's place in the ring, and the
-    // hand moves past it, so the new entry gets a whole revolution.
-    ring_pos = EvictLocked(shard);
-    shard.ring[ring_pos] = id;
-    shard.hand = (ring_pos + 1) % shard.ring.size();
-  } else {
+  if (resident_.fetch_add(1, std::memory_order_relaxed) < capacity_) {
     shard.ring.push_back(id);
+  } else {
+    // Full: a victim's reservation passes to the new entry.
+    resident_.fetch_sub(1, std::memory_order_relaxed);
+    if (!shard.ring.empty()) {
+      // The new entry takes the victim's place in the ring, and the hand
+      // moves past it, so the new entry gets a whole revolution.
+      ring_pos = EvictLocked(shard);
+      shard.ring[ring_pos] = id;
+      shard.hand = (ring_pos + 1) % shard.ring.size();
+    } else if (EvictFromOtherShard(shard)) {
+      shard.ring.push_back(id);
+    } else {
+      // This shard is empty and every other one busy: the caller keeps
+      // its handle, the cache does not.
+      return;
+    }
   }
   Slot& slot = shard.slots[id];
   slot.handle = std::move(handle);
@@ -92,6 +105,19 @@ void TriggerCache::InsertLocked(Shard& shard, TriggerId id,
   // load-once workloads.
   slot.referenced.store(false, std::memory_order_relaxed);
   slot.ring_pos = ring_pos;
+}
+
+bool TriggerCache::EvictFromOtherShard(const Shard& self) {
+  // try_lock only: this thread holds `self` exclusively, and waiting on a
+  // second shard lock could deadlock against a thread doing the reverse.
+  for (auto& other : shards_) {
+    if (other.get() == &self) continue;
+    std::unique_lock lock(other->mutex, std::try_to_lock);
+    if (!lock.owns_lock() || other->ring.empty()) continue;
+    RemoveFromRingLocked(*other, EvictLocked(*other));
+    return true;
+  }
+  return false;
 }
 
 void TriggerCache::RemoveFromRingLocked(Shard& shard, size_t ring_pos) {
@@ -134,11 +160,13 @@ void TriggerCache::Invalidate(TriggerId id) {
   if (it == shard.slots.end()) return;
   RemoveFromRingLocked(shard, it->second.ring_pos);
   shard.slots.erase(it);
+  resident_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void TriggerCache::Clear() {
   for (auto& shard : shards_) {
     std::unique_lock lock(shard->mutex);
+    resident_.fetch_sub(shard->slots.size(), std::memory_order_relaxed);
     shard->slots.clear();
     shard->ring.clear();
     shard->hand = 0;

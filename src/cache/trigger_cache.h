@@ -47,7 +47,9 @@ struct TriggerCacheStats {
 /// reference bit, so concurrent pins of hot triggers serialize on
 /// nothing: no global mutex, no LRU list splice. Eviction runs the CLOCK
 /// hand under the shard's write lock; a set reference bit buys a slot a
-/// second chance (the deferred equivalent of an LRU touch).
+/// second chance (the deferred equivalent of an LRU touch). The capacity
+/// bounds the whole cache, not each shard: nothing is evicted until the
+/// cache as a whole is full, and then the inserting shard evicts.
 class TriggerCache {
  public:
   /// `num_shards` = 0 scales the shard count with capacity (one shard
@@ -107,17 +109,21 @@ class TriggerCache {
 
   Shard& ShardFor(TriggerId id) const;
 
-  /// Inserts `handle` into `shard`; a full shard first evicts the CLOCK
-  /// hand's victim and gives its ring position to the new entry.
+  /// Inserts `handle` into `shard`. When the whole cache is full, the
+  /// shard first evicts its CLOCK hand's victim and gives its ring
+  /// position to the new entry (an empty shard evicts from another).
   /// Requires the shard's exclusive lock (as do the two below).
   void InsertLocked(Shard& shard, TriggerId id, TriggerHandle handle);
+  /// Evicts one entry of a shard other than `self` whose lock is free at
+  /// once; false when there is none.
+  bool EvictFromOtherShard(const Shard& self);
   /// Runs the CLOCK hand to an unreferenced entry, erases it, and returns
   /// its ring position (the hand stays on it).
   size_t EvictLocked(Shard& shard);
   void RemoveFromRingLocked(Shard& shard, size_t ring_pos);
 
   const size_t capacity_;
-  size_t shard_capacity_ = 0;
+  std::atomic<size_t> resident_{0};  // entries held, over all shards
   TriggerLoader loader_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -4,16 +4,28 @@
 
 namespace tman::predindex_internal {
 
-std::vector<Value> EqKeyOf(const SignatureContext& ctx,
-                           const PredicateEntry& entry) {
-  std::vector<Value> key;
-  key.reserve(ctx.split.eq.size());
-  for (const EqConjunct& c : ctx.split.eq) {
-    size_t idx = static_cast<size_t>(c.placeholder - 1);
-    key.push_back(idx < entry.constants.size() ? entry.constants.at(idx)
-                                               : Value::Null());
+const Value& EqConstantOf(const SignatureContext& ctx,
+                          const PredicateEntry& entry, size_t i) {
+  static const Value kNull;
+  size_t idx = static_cast<size_t>(ctx.split.eq[i].placeholder - 1);
+  return idx < entry.constants.size() ? entry.constants.at(idx) : kNull;
+}
+
+uint64_t EqKeyHash(const SignatureContext& ctx, const PredicateEntry& entry) {
+  return HashValuesAt(ctx.split.eq.size(), [&](size_t i) -> const Value& {
+    return EqConstantOf(ctx, entry, i);
+  });
+}
+
+bool EqKeyMatches(const SignatureContext& ctx, const PredicateEntry& entry,
+                  const Probe& probe) {
+  if (probe.eq_size() != ctx.split.eq.size()) return false;
+  for (size_t i = 0; i < ctx.split.eq.size(); ++i) {
+    const Value& key = EqConstantOf(ctx, entry, i);
+    const Value& v = probe.eq_value(i);
+    if (key.is_null() || v.is_null() || key != v) return false;
   }
-  return key;
+  return true;
 }
 
 IntervalIndex::Interval IntervalOf(const SignatureContext& ctx,
@@ -40,19 +52,12 @@ IntervalIndex::Interval IntervalOf(const SignatureContext& ctx,
 
 bool EntryMatchesProbe(const SignatureContext& ctx,
                        const PredicateEntry& entry, const Probe& probe) {
-  if (!ctx.split.eq.empty()) {
-    std::vector<Value> key = EqKeyOf(ctx, entry);
-    if (key.size() != probe.eq_key.size()) return false;
-    for (size_t i = 0; i < key.size(); ++i) {
-      // NULL constants never match (SQL semantics: x = NULL is unknown).
-      if (key[i].is_null() || probe.eq_key[i].is_null()) return false;
-      if (key[i] != probe.eq_key[i]) return false;
-    }
-    return true;
-  }
+  if (!ctx.split.eq.empty()) return EqKeyMatches(ctx, entry, probe);
   if (ctx.split.has_range) {
-    if (!probe.has_range_value || probe.range_value.is_null()) return false;
-    return IntervalOf(ctx, entry).Contains(probe.range_value);
+    if (probe.range_value == nullptr || probe.range_value->is_null()) {
+      return false;
+    }
+    return IntervalOf(ctx, entry).Contains(*probe.range_value);
   }
   return true;  // non-indexable: every instance is a candidate
 }

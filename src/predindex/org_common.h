@@ -10,10 +10,21 @@
 
 namespace tman::predindex_internal {
 
-/// Projects an entry's constants onto the signature's equality
-/// placeholders: the composite key [const1..constK] of the paper.
-std::vector<Value> EqKeyOf(const SignatureContext& ctx,
-                           const PredicateEntry& entry);
+/// The entry's constant for the signature's i-th equality placeholder
+/// (NULL when the entry has fewer constants).
+const Value& EqConstantOf(const SignatureContext& ctx,
+                          const PredicateEntry& entry, size_t i);
+
+/// Key hash of an entry's equality constants: the same FieldsHash a probe
+/// carrying equal values has (Value::Hash agrees with Value equality, so
+/// int 3 and float 3.0 hash alike).
+uint64_t EqKeyHash(const SignatureContext& ctx, const PredicateEntry& entry);
+
+/// True when the entry's equality constants equal the probe's values
+/// under Value equality (numerics compare across int and float). A NULL
+/// on either side never matches (SQL: x = NULL is unknown).
+bool EqKeyMatches(const SignatureContext& ctx, const PredicateEntry& entry,
+                  const Probe& probe);
 
 /// Builds the stabbing interval for a range signature from an entry's
 /// constants.

@@ -1,5 +1,8 @@
 #include "predindex/org_db.h"
 
+#include <cmath>
+#include <optional>
+
 #include "predindex/org_common.h"
 
 namespace tman {
@@ -7,11 +10,25 @@ namespace tman {
 using predindex_internal::DecodeValues;
 using predindex_internal::EncodeValues;
 using predindex_internal::EntryMatchesProbe;
-using predindex_internal::EqKeyOf;
 
 namespace {
 constexpr size_t kFixedCols = 3;  // expr_id, trigger_id, next_node
+
+/// The value of the other numeric type that equals `v`: the float of an
+/// int, the int of an integral float within int64 range.
+std::optional<Value> NumericTwin(const Value& v) {
+  if (const int64_t* i = v.if_int()) {
+    return Value::Float(static_cast<double>(*i));
+  }
+  if (const double* d = v.if_float()) {
+    if (std::trunc(*d) == *d && *d >= -9.2e18 && *d <= 9.2e18) {
+      return Value::Int(static_cast<int64_t>(*d));
+    }
+  }
+  return std::nullopt;
 }
+
+}  // namespace
 
 DbOrganizationBase::DbOrganizationBase(const SignatureContext* ctx,
                                        Database* db)
@@ -156,22 +173,35 @@ Status DbIndexedTableOrganization::Match(
     // stated future work; scan instead.
     return ScanMatch(probe, fn);
   }
-  for (const Value& v : probe.eq_key) {
+  // A stored cell encodes its constant with its type tag, while an
+  // integral probe value equals both its int and its float form (dept = 3
+  // holds for 3 and 3.0), so each equality field looks up every encoding
+  // that equals its value: one cell key list per combination.
+  std::vector<std::vector<Value>> encodings(probe.eq_size());
+  for (size_t i = 0; i < probe.eq_size(); ++i) {
+    const Value& v = probe.eq_value(i);
     if (v.is_null()) return Status::OK();
+    encodings[i].push_back(Value::String(EncodeValues({v})));
+    if (std::optional<Value> twin = NumericTwin(v)) {
+      encodings[i].push_back(Value::String(EncodeValues({*twin})));
+    }
   }
-  std::vector<Value> key;
-  key.reserve(probe.eq_key.size());
-  for (const Value& v : probe.eq_key) {
-    key.push_back(Value::String(EncodeValues({v})));
+  std::vector<size_t> pick(encodings.size(), 0);
+  std::vector<Value> key(encodings.size());
+  for (;;) {
+    for (size_t i = 0; i < key.size(); ++i) key[i] = encodings[i][pick[i]];
+    TMAN_ASSIGN_OR_RETURN(std::vector<Rid> rids,
+                          db_->IndexLookup(index_name_, key));
+    for (const Rid& rid : rids) {
+      TMAN_ASSIGN_OR_RETURN(Tuple row, db_->Get(table_, rid));
+      TMAN_ASSIGN_OR_RETURN(PredicateEntry entry, DecodeRow(row));
+      fn(entry);
+    }
+    // Next combination, odometer style; done when every field wrapped.
+    size_t i = 0;
+    while (i < pick.size() && ++pick[i] == encodings[i].size()) pick[i++] = 0;
+    if (i == pick.size()) return Status::OK();
   }
-  TMAN_ASSIGN_OR_RETURN(std::vector<Rid> rids,
-                        db_->IndexLookup(index_name_, key));
-  for (const Rid& rid : rids) {
-    TMAN_ASSIGN_OR_RETURN(Tuple row, db_->Get(table_, rid));
-    TMAN_ASSIGN_OR_RETURN(PredicateEntry entry, DecodeRow(row));
-    fn(entry);
-  }
-  return Status::OK();
 }
 
 }  // namespace tman

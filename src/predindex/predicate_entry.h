@@ -42,13 +42,42 @@ struct PredicateMatch {
   NetworkNodeId next_node = 0;
 };
 
-/// The probe derived from a token for one signature: the token's values
-/// for the signature's equality attributes, and/or the value of its range
-/// attribute.
+/// HashValues of `tuple`'s values at `fields`, read in place.
+inline uint64_t FieldsHash(const Tuple& tuple,
+                           const std::vector<size_t>& fields) {
+  return HashValuesAt(fields.size(), [&](size_t i) -> const Value& {
+    return tuple.at(fields[i]);
+  });
+}
+
+/// The probe derived from a token for one signature. Nothing is copied
+/// out of the token: the equality values are read in place from its
+/// tuple at the signature's equality fields, and `eq_hash` is their key
+/// hash (FieldsHash).
 struct Probe {
-  std::vector<Value> eq_key;
-  Value range_value;
-  bool has_range_value = false;
+  const Tuple* tuple = nullptr;
+  const std::vector<size_t>* eq_fields = nullptr;  // null: no equality part
+  uint64_t eq_hash = 0;
+  const Value* range_value = nullptr;  // null: no range value
+
+  /// Probe of `tuple` over `eq_fields` (each < tuple.size()) and the
+  /// optional range field (negative: none).
+  static Probe Of(const Tuple& tuple, const std::vector<size_t>& eq_fields,
+                  int range_field) {
+    Probe p;
+    p.tuple = &tuple;
+    p.eq_fields = &eq_fields;
+    p.eq_hash = FieldsHash(tuple, eq_fields);
+    if (range_field >= 0) {
+      p.range_value = &tuple.at(static_cast<size_t>(range_field));
+    }
+    return p;
+  }
+
+  size_t eq_size() const {
+    return eq_fields == nullptr ? 0 : eq_fields->size();
+  }
+  const Value& eq_value(size_t i) const { return tuple->at((*eq_fields)[i]); }
 };
 
 }  // namespace tman

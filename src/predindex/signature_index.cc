@@ -1,5 +1,7 @@
 #include "predindex/signature_index.h"
 
+#include <algorithm>
+
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/rewrite.h"
@@ -15,17 +17,18 @@ SignatureIndexEntry::SignatureIndexEntry(SignatureContext ctx, Database* db,
                                          OrgPolicy policy)
     : ctx_(std::move(ctx)), db_(db), policy_(policy) {}
 
-Status SignatureIndexEntry::Open(const Schema& schema,
-                                 const Tuple& constants) {
+Status SignatureIndexEntry::Open(const Schema& schema, const Tuple& constants) {
   schema_ = schema;
   for (const EqConjunct& c : ctx_.split.eq) {
     TMAN_ASSIGN_OR_RETURN(size_t f, schema_.RequireField(c.attribute));
     eq_fields_.push_back(f);
+    min_width_ = std::max(min_width_, f + 1);
   }
   if (ctx_.split.has_range) {
     TMAN_ASSIGN_OR_RETURN(size_t f,
                           schema_.RequireField(ctx_.split.range.attribute));
     range_field_ = static_cast<int>(f);
+    min_width_ = std::max(min_width_, f + 1);
   }
   for (const std::string& col : ctx_.signature.update_columns) {
     TMAN_ASSIGN_OR_RETURN(size_t f, schema_.RequireField(col));
@@ -104,29 +107,29 @@ Status SignatureIndexEntry::Remove(ExprId expr_id) {
   // that hover near a threshold.
 }
 
-Status SignatureIndexEntry::Match(
-    const UpdateDescriptor& token, uint32_t partition,
-    uint32_t num_partitions,
-    const std::function<void(const PredicateMatch&)>& fn) const {
-  // Event condition: opcode.
-  if (!OpMatches(ctx_.signature.op, token.op)) return Status::OK();
-  // Event condition: "on update(col, ...)" requires a listed column to
-  // have actually changed.
-  if (!update_col_fields_.empty() && token.op == OpCode::kUpdate) {
-    if (!token.old_tuple.has_value() || !token.new_tuple.has_value()) {
-      return Status::OK();
-    }
-    bool changed = false;
-    for (size_t f : update_col_fields_) {
-      if (f < token.old_tuple->size() && f < token.new_tuple->size() &&
-          token.old_tuple->at(f) != token.new_tuple->at(f)) {
-        changed = true;
-        break;
-      }
-    }
-    if (!changed) return Status::OK();
+bool SignatureIndexEntry::EventMatches(const UpdateDescriptor& token) const {
+  if (!OpMatches(ctx_.signature.op, token.op)) return false;
+  if (update_col_fields_.empty() || token.op != OpCode::kUpdate) return true;
+  if (!token.old_tuple.has_value() || !token.new_tuple.has_value()) {
+    return false;
   }
+  for (size_t f : update_col_fields_) {
+    if (f < token.old_tuple->size() && f < token.new_tuple->size() &&
+        token.old_tuple->at(f) != token.new_tuple->at(f)) {
+      return true;
+    }
+  }
+  return false;
+}
 
+Probe SignatureIndexEntry::ProbeOf(const Tuple& tuple) const {
+  return Probe::Of(tuple, eq_fields_, range_field_);
+}
+
+Status SignatureIndexEntry::Match(
+    const UpdateDescriptor& token, uint32_t partition, uint32_t num_partitions,
+    const std::function<void(const PredicateMatch&)>& fn) const {
+  if (!EventMatches(token)) return Status::OK();
   return MatchTuple(token.EffectiveTuple(), partition, num_partitions, fn);
 }
 
@@ -135,17 +138,8 @@ Status SignatureIndexEntry::MatchTuple(
     const std::function<void(const PredicateMatch&)>& fn) const {
   const bool track = runtime_stats::enabled();
   if (track) probes_.Increment();
-  Probe probe;
-  for (size_t f : eq_fields_) {
-    if (f >= tuple.size()) return Status::OK();
-    probe.eq_key.push_back(tuple.at(f));
-  }
-  if (range_field_ >= 0) {
-    size_t f = static_cast<size_t>(range_field_);
-    if (f >= tuple.size()) return Status::OK();
-    probe.range_value = tuple.at(f);
-    probe.has_range_value = true;
-  }
+  if (tuple.size() < min_width_) return Status::OK();
+  const Probe probe = ProbeOf(tuple);
 
   Status inner = Status::OK();
   auto test = [&](const PredicateEntry& e) {
@@ -174,57 +168,24 @@ void SignatureIndexEntry::MatchBatch(
     uint32_t partition, uint32_t num_partitions,
     const std::function<void(size_t, const PredicateMatch&)>& fn,
     Status* lane_status) const {
-  // Pass 1: event-condition filter (opcode + changed columns), per lane.
-  std::vector<uint32_t> survivors;
-  survivors.reserve(num_lanes);
+  // Passes 1 and 2: event-condition filter (opcode + changed columns),
+  // then every surviving lane's probe, in one tight pass before the
+  // organization sees any of them. A lane whose tuple is narrower than
+  // the indexed fields silently drops out, as in the scalar path.
+  struct LaneProbe {
+    uint32_t lane;
+    Probe probe;
+  };
+  std::vector<LaneProbe> probes;
+  probes.reserve(num_lanes);
   for (size_t i = 0; i < num_lanes; ++i) {
     const uint32_t lane = lanes[i];
-    const UpdateDescriptor& token = tokens[lane];
-    if (!OpMatches(ctx_.signature.op, token.op)) continue;
-    if (!update_col_fields_.empty() && token.op == OpCode::kUpdate) {
-      if (!token.old_tuple.has_value() || !token.new_tuple.has_value()) {
-        continue;
-      }
-      bool changed = false;
-      for (size_t f : update_col_fields_) {
-        if (f < token.old_tuple->size() && f < token.new_tuple->size() &&
-            token.old_tuple->at(f) != token.new_tuple->at(f)) {
-          changed = true;
-          break;
-        }
-      }
-      if (!changed) continue;
-    }
-    survivors.push_back(lane);
+    if (!EventMatches(tokens[lane])) continue;
+    const Tuple& tuple = tokens[lane].EffectiveTuple();
+    if (tuple.size() < min_width_) continue;
+    probes.push_back({lane, ProbeOf(tuple)});
   }
-  if (survivors.empty()) return;
-
-  // Pass 2: build every surviving lane's probe keys in one tight pass
-  // before the organization sees any of them. A lane whose tuple is
-  // narrower than the indexed fields silently drops out, as in the
-  // scalar path.
-  std::vector<Probe> probes(survivors.size());
-  std::vector<uint8_t> viable(survivors.size(), 1);
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    const Tuple& tuple = tokens[survivors[i]].EffectiveTuple();
-    Probe& probe = probes[i];
-    for (size_t f : eq_fields_) {
-      if (f >= tuple.size()) {
-        viable[i] = 0;
-        break;
-      }
-      probe.eq_key.push_back(tuple.at(f));
-    }
-    if (viable[i] && range_field_ >= 0) {
-      size_t f = static_cast<size_t>(range_field_);
-      if (f >= tuple.size()) {
-        viable[i] = 0;
-      } else {
-        probe.range_value = tuple.at(f);
-        probe.has_range_value = true;
-      }
-    }
-  }
+  if (probes.empty()) return;
 
   // Pass 3: consult the organization per lane, collecting candidates in
   // organization order. Candidates of one lane are contiguous and
@@ -253,15 +214,10 @@ void SignatureIndexEntry::MatchBatch(
   // scalar path, too, emits matches streamed before the org error.
   std::vector<std::pair<uint32_t, Status>> org_errors;
   const bool track = runtime_stats::enabled();
-  if (track) {
-    uint64_t viable_lanes = 0;
-    for (uint8_t v : viable) viable_lanes += v;
-    if (viable_lanes != 0) probes_.Add(viable_lanes);
-  }
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    if (!viable[i]) continue;
-    const uint32_t lane = survivors[i];
-    const Tuple* tuple = &tokens[lane].EffectiveTuple();
+  if (track) probes_.Add(probes.size());
+  for (const LaneProbe& lp : probes) {
+    const uint32_t lane = lp.lane;
+    const Tuple* tuple = lp.probe.tuple;
     auto collect = [&](const PredicateEntry& e) {
       Candidate c;
       c.lane = lane;
@@ -275,8 +231,8 @@ void SignatureIndexEntry::MatchBatch(
       cands.push_back(c);
     };
     Status s = num_partitions <= 1
-                   ? org_->Match(probes[i], collect)
-                   : org_->MatchPartition(probes[i], partition,
+                   ? org_->Match(lp.probe, collect)
+                   : org_->MatchPartition(lp.probe, partition,
                                           num_partitions, collect);
     if (!s.ok()) org_errors.emplace_back(lane, std::move(s));
   }
@@ -466,6 +422,7 @@ void DataSourcePredicateIndex::MatchBatch(
     uint32_t partition, uint32_t num_partitions,
     const std::function<void(size_t, const PredicateMatch&)>& fn,
     Status* lane_status) const {
+  if (num_lanes == 0) return;
   // The scalar path stops a token at its first failing entry; lanes that
   // error drop out of the scan for the remaining signatures.
   std::vector<uint32_t> active(lanes, lanes + num_lanes);

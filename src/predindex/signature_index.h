@@ -175,9 +175,18 @@ class SignatureIndexEntry {
 
   std::shared_ptr<const CompiledPredicate> rest_program_;
 
-  // Resolved positions in the source schema.
+  /// The probe of `tuple`, which must be at least `min_width_` wide.
+  Probe ProbeOf(const Tuple& tuple) const;
+
+  /// Whether a token passes the event condition: opcode, and for
+  /// "on update(col, ...)" a listed column that actually changed.
+  bool EventMatches(const UpdateDescriptor& token) const;
+
+  // Resolved positions in the source schema. A tuple narrower than
+  // min_width_ lacks an indexed field and matches nothing.
   std::vector<size_t> eq_fields_;
   int range_field_ = -1;
+  size_t min_width_ = 0;
   std::vector<size_t> update_col_fields_;
 
   // Runtime statistics (sharded so concurrent matchers on one hot

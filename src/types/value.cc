@@ -116,9 +116,8 @@ std::string Value::ToString() const {
 }
 
 uint64_t HashValues(const std::vector<Value>& values) {
-  uint64_t h = 0x51ed270b4d2f2c8dULL;
-  for (const Value& v : values) h = HashCombine(h, v.Hash());
-  return h;
+  return HashValuesAt(values.size(),
+                      [&](size_t i) -> const Value& { return values[i]; });
 }
 
 int CompareValues(const std::vector<Value>& a, const std::vector<Value>& b) {

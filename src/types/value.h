@@ -100,6 +100,15 @@ class Value {
 /// Hash of a composite key (e.g. [const1..constK] in a constant table).
 uint64_t HashValues(const std::vector<Value>& values);
 
+/// HashValues of the key `at(0) .. at(n-1)`, read in place: a key spread
+/// over a tuple's fields hashes without being gathered into a vector.
+template <typename At>
+uint64_t HashValuesAt(size_t n, At at) {
+  uint64_t h = 0x51ed270b4d2f2c8dULL;
+  for (size_t i = 0; i < n; ++i) h = HashCombine(h, at(i).Hash());
+  return h;
+}
+
 /// Lexicographic comparison of two value vectors.
 int CompareValues(const std::vector<Value>& a, const std::vector<Value>& b);
 

@@ -266,6 +266,27 @@ TEST(TriggerCacheTest, StatsConsistentUnderConcurrency) {
   EXPECT_EQ(cache.size(), 32u);
 }
 
+TEST(TriggerCacheTest, CacheSizedToItsPopulationNeverEvicts) {
+  // Capacity bounds the whole cache: however unevenly the ids hash to
+  // the shards, N distinct ids fit a cache of capacity N.
+  constexpr size_t kIds = 4096;
+  TriggerCache cache(kIds, [](TriggerId id) -> Result<TriggerHandle> {
+    return MakeTrigger(id);
+  });
+  ASSERT_GE(cache.num_shards(), 2u);
+  for (int round = 0; round < 2; ++round) {
+    for (TriggerId id = 1; id <= kIds; ++id) ASSERT_TRUE(cache.Pin(id).ok());
+  }
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.stats().misses, kIds);
+  EXPECT_EQ(cache.stats().hits, kIds);
+  EXPECT_EQ(cache.size(), kIds);
+  // One more id fills no shard beyond the whole cache's capacity.
+  ASSERT_TRUE(cache.Pin(kIds + 1).ok());
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.size(), kIds);
+}
+
 TEST(TriggerCacheTest, PaperSizingExample) {
   // §5.1: with 4 KB per description and a 64 MB cache, 16,384 trigger
   // descriptions fit simultaneously.

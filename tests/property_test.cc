@@ -176,6 +176,65 @@ TEST(SignaturePropertyTest, SplitPartsConjoinToWhole) {
 }
 
 // --- all four organizations agree -------------------------------------------
+//
+// The tokens carry a float column `f` with integral values half the time,
+// and equality literals cross the numeric types (`t.a = 3.0` on the int
+// column, `t.f = 2` on the float one): a value equals its twin of the
+// other numeric type under every organization, as under direct
+// evaluation.
+
+Schema EquivalenceSchema() {
+  return Schema({{"a", DataType::kInt},
+                 {"b", DataType::kInt},
+                 {"s", DataType::kVarchar},
+                 {"f", DataType::kFloat}});
+}
+
+Tuple RandomEquivalenceTuple(Random* rng) {
+  Tuple t = RandomTuple(rng);
+  t.Append(Value::Float(static_cast<double>(rng->UniformRange(-6, 6)) / 2));
+  return t;
+}
+
+/// An equality leaf on a numeric column whose literal is, half the time,
+/// of the other numeric type (then `*cross` is set).
+ExprPtr RandomNumericEquality(Random* rng, bool* cross) {
+  const uint64_t shape = rng->Uniform(4);
+  if (shape == 0 || shape == 2) *cross = true;
+  switch (shape) {
+    case 0:
+      return MustParseLocal("t.a = " +
+                            std::to_string(rng->UniformRange(-20, 20)) +
+                            ".0");
+    case 1:
+      return MustParseLocal("t.a = " +
+                            std::to_string(rng->UniformRange(-20, 20)));
+    case 2:
+      return MustParseLocal("t.f = " +
+                            std::to_string(rng->UniformRange(-3, 3)));
+    default:
+      return MustParseLocal("t.f = " +
+                            std::to_string(rng->UniformRange(-3, 3)) +
+                            (rng->Bernoulli(0.5) ? ".0" : ".5"));
+  }
+}
+
+/// A predicate of the equivalence test; `*cross` reports a cross-typed
+/// equality conjunct.
+ExprPtr RandomEquivalencePredicate(Random* rng, bool* cross) {
+  switch (rng->Uniform(4)) {
+    case 0:
+      return RandomPredicate(rng, 2);
+    case 1:
+      return RandomNumericEquality(rng, cross);
+    case 2:
+      return MakeBinary(BinOp::kAnd, RandomNumericEquality(rng, cross),
+                        RandomPredicate(rng, 1));
+    default:
+      return MakeBinary(BinOp::kAnd, RandomNumericEquality(rng, cross),
+                        RandomNumericEquality(rng, cross));
+  }
+}
 
 class OrganizationEquivalenceTest : public ::testing::TestWithParam<OrgType> {
 };
@@ -188,17 +247,22 @@ TEST_P(OrganizationEquivalenceTest, MatchesAgreeWithDirectEvaluation) {
   policy.forced = true;
   policy.forced_type = org;
   PredicateIndex index(&db, policy);
-  Schema schema = TestSchema();
+  Schema schema = EquivalenceSchema();
   ASSERT_TRUE(index.RegisterDataSource(1, schema).ok());
 
-  // Install random predicates, remembering their concrete forms.
+  // Install random predicates, remembering their concrete forms: 60
+  // general shapes over the int and varchar columns, then 60 that mix in
+  // cross-typed numeric equalities.
   struct Installed {
     TriggerId id;
     ExprPtr predicate;
+    bool cross = false;
   };
   std::vector<Installed> installed;
-  for (int i = 0; i < 60; ++i) {
-    ExprPtr e = RandomPredicate(&rng, 2);
+  for (int i = 0; i < 120; ++i) {
+    bool cross = false;
+    ExprPtr e = i < 60 ? RandomPredicate(&rng, 2)
+                       : RandomEquivalencePredicate(&rng, &cross);
     PredicateSpec spec;
     spec.data_source = 1;
     spec.op = OpCode::kInsertOrUpdate;
@@ -207,20 +271,24 @@ TEST_P(OrganizationEquivalenceTest, MatchesAgreeWithDirectEvaluation) {
     auto added = index.AddPredicate(spec);
     ASSERT_TRUE(added.ok()) << added.status().ToString() << " for "
                             << ExprToString(e);
-    installed.push_back({spec.trigger_id, e});
+    installed.push_back({spec.trigger_id, e, cross});
   }
 
   // Probe with random tokens: the index must emit exactly the triggers
   // whose predicate evaluates true.
+  size_t cross_typed_matches = 0;
   for (int probe = 0; probe < 200; ++probe) {
-    Tuple t = RandomTuple(&rng);
+    Tuple t = RandomEquivalenceTuple(&rng);
     std::set<TriggerId> expected;
     for (const Installed& inst : installed) {
       Bindings b;
       b.Bind("t", &schema, &t);
       auto pass = EvalPredicate(inst.predicate, b);
       ASSERT_TRUE(pass.ok());
-      if (*pass) expected.insert(inst.id);
+      if (*pass) {
+        expected.insert(inst.id);
+        if (inst.cross) ++cross_typed_matches;
+      }
     }
     std::vector<PredicateMatch> out;
     ASSERT_TRUE(index.Match(UpdateDescriptor::Insert(1, t), &out).ok());
@@ -229,6 +297,8 @@ TEST_P(OrganizationEquivalenceTest, MatchesAgreeWithDirectEvaluation) {
     ASSERT_EQ(got, expected) << "tuple " << t.ToString() << " org "
                              << OrgTypeName(org);
   }
+  // The cross-typed equalities did match: the check above saw them.
+  EXPECT_GT(cross_typed_matches, 10u) << OrgTypeName(org);
 }
 
 std::string OrgTestName(const ::testing::TestParamInfo<OrgType>& info) {
@@ -382,15 +452,17 @@ LaneOutcome ReferenceOutcome(const DataSourcePredicateIndex& src,
   LaneOutcome out;
   for (const auto& sig : src.entries()) {
     const SignatureContext& ctx = sig->context();
-    Probe probe;
+    std::vector<size_t> eq_fields;
     for (const EqConjunct& c : ctx.split.eq) {
-      probe.eq_key.push_back(t.at(src.schema().FieldIndex(c.attribute)));
+      eq_fields.push_back(
+          static_cast<size_t>(src.schema().FieldIndex(c.attribute)));
     }
-    if (ctx.split.has_range) {
-      probe.range_value =
-          t.at(src.schema().FieldIndex(ctx.split.range.attribute));
-      probe.has_range_value = true;
-    }
+    const int range_field =
+        ctx.split.has_range
+            ? static_cast<int>(
+                  src.schema().FieldIndex(ctx.split.range.attribute))
+            : -1;
+    const Probe probe = Probe::Of(t, eq_fields, range_field);
     Status org = sig->organization()->Match(probe, [&](const PredicateEntry& e) {
       if (!out.status.ok()) return;
       if (ctx.split.rest != nullptr) {
