@@ -10,14 +10,16 @@
 // join conjunct) sweeping TokenBatch sizes 8/64/256 through EvalBoolBatch;
 // items processed counts tokens so ns/item is comparable across lanes.
 //
-// `bench_eval --smoke` times the selection and join shapes once and
-// asserts the >=3x compiled-over-interpreted acceptance bound plus the
-// >=2x batched-over-scalar-compiled bound; CI runs it on every push and
+// `bench_eval --smoke` times the selection and join shapes in 7
+// interleaved pairs per ratio and asserts, on the median paired speedup,
+// the >=3x compiled-over-interpreted acceptance bound plus the >=2x
+// batched-over-scalar-compiled bound; CI runs it on every push and
 // scripts/run_bench.sh records the sweeps in BENCH_eval.json and
 // BENCH_batch.json.
 
 #include "bench/bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -238,22 +240,54 @@ BENCHMARK(BM_BatchedJoinConjunct)->Arg(8)->Arg(64)->Arg(256);
 
 // --- --smoke: the acceptance bound, checked ----------------------------------
 
-/// ns/eval for `evals` runs of `fn`.
+/// ns per run of one timed pass of `runs` runs of `fn`.
 template <typename Fn>
-double TimeNs(int evals, Fn&& fn) {
-  // Best of three timed passes: the smoke bounds are throughput ratios,
-  // and a scheduler hiccup inside a single pass otherwise dominates the
-  // measurement on a busy machine.
-  double best = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < evals; ++i) fn(i);
-    std::chrono::duration<double, std::nano> elapsed =
-        std::chrono::steady_clock::now() - start;
-    const double ns = elapsed.count() / evals;
-    if (rep == 0 || ns < best) best = ns;
+double PassNs(int runs, Fn&& fn) {
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < runs; ++i) fn(i);
+  std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count() / runs;
+}
+
+// Odd, so each median is one measured pass or pair.
+constexpr int kPairs = 7;
+
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// A smoke ratio: the medians of both sides' ns per item, and the median
+/// of the per-pair speedups (baseline ns / candidate ns).
+struct PairedRatio {
+  double baseline_ns;
+  double candidate_ns;
+  double speedup;
+};
+
+/// Times `baseline` and `candidate` (each one pass, returning ns per item)
+/// in kPairs back-to-back pairs, alternating which side runs first, and
+/// takes the median speedup. A slow spell of the host then falls on both
+/// sides of a pair, and one disturbed pair cannot move the median.
+template <typename Baseline, typename Candidate>
+PairedRatio MedianOfPairs(Baseline&& baseline, Candidate&& candidate) {
+  std::vector<double> base, cand, speedup;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double b = 0;
+    double c = 0;
+    if (pair % 2 == 0) {
+      b = baseline();
+      c = candidate();
+    } else {
+      c = candidate();
+      b = baseline();
+    }
+    base.push_back(b);
+    cand.push_back(c);
+    speedup.push_back(b / c);
   }
-  return best;
+  return {Median(base), Median(cand), Median(speedup)};
 }
 
 int RunSmoke() {
@@ -262,36 +296,32 @@ int RunSmoke() {
   std::vector<Tuple> tuples = MakeTuples(kTupleCount);
   int failures = 0;
 
-  auto check = [&](const char* what, double interpreted_ns,
-                   double compiled_ns) {
-    double speedup = interpreted_ns / compiled_ns;
+  auto check = [&](const char* what, const PairedRatio& r) {
     std::printf(
         "bench_eval --smoke: %s interpreted %.1f ns/eval, compiled %.1f "
-        "ns/eval, speedup %.2fx\n",
-        what, interpreted_ns, compiled_ns, speedup);
-    if (speedup < 3.0) {
+        "ns/eval, median paired speedup %.2fx\n",
+        what, r.baseline_ns, r.candidate_ns, r.speedup);
+    if (r.speedup < 3.0) {
       std::fprintf(stderr,
                    "bench_eval --smoke FAILED: %s speedup %.2fx < 3x "
                    "acceptance bound\n",
-                   what, speedup);
+                   what, r.speedup);
       ++failures;
     }
   };
 
   // Batched acceptance bound: the columnar VM must deliver >= 2x the
   // scalar compiled path's per-token throughput on the same workload.
-  auto check_batched = [&](const char* what, double scalar_ns,
-                           double batched_ns) {
-    double speedup = scalar_ns / batched_ns;
+  auto check_batched = [&](const char* what, const PairedRatio& r) {
     std::printf(
         "bench_eval --smoke: %s scalar-compiled %.1f ns/token, batched %.1f "
-        "ns/token, speedup %.2fx\n",
-        what, scalar_ns, batched_ns, speedup);
-    if (speedup < 2.0) {
+        "ns/token, median paired speedup %.2fx\n",
+        what, r.baseline_ns, r.candidate_ns, r.speedup);
+    if (r.speedup < 2.0) {
       std::fprintf(stderr,
                    "bench_eval --smoke FAILED: %s batched speedup %.2fx < 2x "
                    "acceptance bound\n",
-                   what, speedup);
+                   what, r.speedup);
       ++failures;
     }
   };
@@ -308,18 +338,22 @@ int RunSmoke() {
       const Tuple* row[] = {&tuples[static_cast<size_t>(i) & kTupleMask]};
       (void)prog->EvalBool(row, 1);
     }
-    double interpreted = TimeNs(kEvals, [&](int i) {
-      Bindings b;
-      b.Bind("t", &schema, &tuples[static_cast<size_t>(i) & kTupleMask]);
-      auto pass = EvalPredicate(e, b);
-      benchmark::DoNotOptimize(pass.ok() && *pass);
-    });
-    double compiled = TimeNs(kEvals, [&](int i) {
-      const Tuple* row[] = {&tuples[static_cast<size_t>(i) & kTupleMask]};
-      auto pass = prog->EvalBool(row, 1);
-      benchmark::DoNotOptimize(pass.ok() && *pass);
-    });
-    check("selection(conjunction4)", interpreted, compiled);
+    auto interpreted = [&] {
+      return PassNs(kEvals, [&](int i) {
+        Bindings b;
+        b.Bind("t", &schema, &tuples[static_cast<size_t>(i) & kTupleMask]);
+        auto pass = EvalPredicate(e, b);
+        benchmark::DoNotOptimize(pass.ok() && *pass);
+      });
+    };
+    auto compiled = [&] {
+      return PassNs(kEvals, [&](int i) {
+        const Tuple* row[] = {&tuples[static_cast<size_t>(i) & kTupleMask]};
+        auto pass = prog->EvalBool(row, 1);
+        benchmark::DoNotOptimize(pass.ok() && *pass);
+      });
+    };
+    check("selection(conjunction4)", MedianOfPairs(interpreted, compiled));
 
     constexpr size_t kBatch = kDefaultTokenBatchSize;
     TokenBatch batch(1);
@@ -333,18 +367,21 @@ int RunSmoke() {
       }
       (void)prog->EvalBoolBatch(batch, &result, &selection);
     }
-    double batched_per_token =
-        TimeNs(kEvals / static_cast<int>(kBatch), [&](int) {
-          batch.Clear();
-          for (size_t k = 0; k < kBatch; ++k) {
-            batch.Append(&tuples[pos++ & kTupleMask]);
-          }
-          selection.clear();
-          auto s = prog->EvalBoolBatch(batch, &result, &selection);
-          benchmark::DoNotOptimize(s.ok() && selection.size());
-        }) /
-        static_cast<double>(kBatch);
-    check_batched("selection(conjunction4)", compiled, batched_per_token);
+    auto batched_per_token = [&] {
+      return PassNs(kEvals / static_cast<int>(kBatch),
+                    [&](int) {
+                      batch.Clear();
+                      for (size_t k = 0; k < kBatch; ++k) {
+                        batch.Append(&tuples[pos++ & kTupleMask]);
+                      }
+                      selection.clear();
+                      auto s = prog->EvalBoolBatch(batch, &result, &selection);
+                      benchmark::DoNotOptimize(s.ok() && selection.size());
+                    }) /
+             static_cast<double>(kBatch);
+    };
+    check_batched("selection(conjunction4)",
+                  MedianOfPairs(compiled, batched_per_token));
   }
 
   {
@@ -359,21 +396,26 @@ int RunSmoke() {
                             &tuples[static_cast<size_t>(i + 7) & kTupleMask]};
       (void)prog->EvalBool(row, 2);
     }
-    double interpreted = TimeNs(kEvals, [&](int i) {
-      Bindings b;
-      b.Bind("a", &schema, &tuples[static_cast<size_t>(i) & kTupleMask]);
-      b.Bind("b", &schema,
-             &tuples[static_cast<size_t>(i + 7) & kTupleMask]);
-      auto pass = EvalPredicate(e, b);
-      benchmark::DoNotOptimize(pass.ok() && *pass);
-    });
-    double compiled = TimeNs(kEvals, [&](int i) {
-      const Tuple* row[] = {&tuples[static_cast<size_t>(i) & kTupleMask],
-                            &tuples[static_cast<size_t>(i + 7) & kTupleMask]};
-      auto pass = prog->EvalBool(row, 2);
-      benchmark::DoNotOptimize(pass.ok() && *pass);
-    });
-    check("join_conjunct", interpreted, compiled);
+    auto interpreted = [&] {
+      return PassNs(kEvals, [&](int i) {
+        Bindings b;
+        b.Bind("a", &schema, &tuples[static_cast<size_t>(i) & kTupleMask]);
+        b.Bind("b", &schema,
+               &tuples[static_cast<size_t>(i + 7) & kTupleMask]);
+        auto pass = EvalPredicate(e, b);
+        benchmark::DoNotOptimize(pass.ok() && *pass);
+      });
+    };
+    auto compiled = [&] {
+      return PassNs(kEvals, [&](int i) {
+        const Tuple* row[] = {
+            &tuples[static_cast<size_t>(i) & kTupleMask],
+            &tuples[static_cast<size_t>(i + 7) & kTupleMask]};
+        auto pass = prog->EvalBool(row, 2);
+        benchmark::DoNotOptimize(pass.ok() && *pass);
+      });
+    };
+    check("join_conjunct", MedianOfPairs(interpreted, compiled));
 
     constexpr size_t kBatch = kDefaultTokenBatchSize;
     TokenBatch batch(2);
@@ -389,20 +431,22 @@ int RunSmoke() {
       }
       (void)prog->EvalBoolBatch(batch, &result, &selection);
     }
-    double batched_per_token =
-        TimeNs(kEvals / static_cast<int>(kBatch), [&](int) {
-          batch.Clear();
-          for (size_t k = 0; k < kBatch; ++k) {
-            batch.Append(&tuples[pos & kTupleMask],
-                         &tuples[(pos + 7) & kTupleMask]);
-            ++pos;
-          }
-          selection.clear();
-          auto s = prog->EvalBoolBatch(batch, &result, &selection);
-          benchmark::DoNotOptimize(s.ok() && selection.size());
-        }) /
-        static_cast<double>(kBatch);
-    check_batched("join_conjunct", compiled, batched_per_token);
+    auto batched_per_token = [&] {
+      return PassNs(kEvals / static_cast<int>(kBatch),
+                    [&](int) {
+                      batch.Clear();
+                      for (size_t k = 0; k < kBatch; ++k) {
+                        batch.Append(&tuples[pos & kTupleMask],
+                                     &tuples[(pos + 7) & kTupleMask]);
+                        ++pos;
+                      }
+                      selection.clear();
+                      auto s = prog->EvalBoolBatch(batch, &result, &selection);
+                      benchmark::DoNotOptimize(s.ok() && selection.size());
+                    }) /
+             static_cast<double>(kBatch);
+    };
+    check_batched("join_conjunct", MedianOfPairs(compiled, batched_per_token));
   }
 
   if (failures == 0) {

@@ -87,7 +87,6 @@ Status FiringPlan::EvalArgs(const ActionContext& ctx,
 std::shared_ptr<const FiringPlan> ActionTemplates::MakePlan(
     const TriggerRuntime& trigger) {
   auto plan = std::make_shared<FiringPlan>();
-  plan->id = trigger.id;
   plan->name = trigger.name;
   plan->network =
       trigger.multi_variable() || !trigger.graph.catch_all().empty();
@@ -99,6 +98,12 @@ std::shared_ptr<const FiringPlan> ActionTemplates::MakePlan(
   for (size_t i = 0; i < nodes.size(); ++i) {
     action->vars.push_back({nodes[i].info.var, nodes[i].info.source_name,
                             trigger.network->node_schema(i)});
+    if (trigger.network->node_stored(i)) {
+      plan->maintained_sources.push_back(nodes[i].info.source_id);
+    }
+  }
+  if (trigger.aggregate != nullptr) {
+    plan->maintained_sources.push_back(nodes[0].info.source_id);
   }
   if (spec.kind == ActionKind::kExecSql) {
     action->sql = spec.sql;

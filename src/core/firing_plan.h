@@ -1,6 +1,7 @@
 #ifndef TRIGGERMAN_CORE_FIRING_PLAN_H_
 #define TRIGGERMAN_CORE_FIRING_PLAN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -73,18 +74,31 @@ struct ActionTemplate {
 /// in its TriggerDirectory slot, so the fire pass reads it without a lock
 /// and without the trigger cache.
 struct FiringPlan : std::enable_shared_from_this<FiringPlan> {
-  TriggerId id = 0;
   std::string name;  // lowercase
+  std::shared_ptr<const ActionTemplate> action;
+  /// The data sources whose tokens change this trigger's state: one entry
+  /// per stored alpha memory (a stream variable of a join; a variable over
+  /// a local table is a virtual node and keeps nothing), plus an
+  /// aggregate's source. Each entry counts toward
+  /// TriggerDirectory::NeedsMaintenance while the trigger is installed.
+  std::vector<DataSourceId> maintained_sources;
+  /// Aggregate values a firing supplies ahead of `constants`.
+  uint32_t num_aggregates = 0;
   /// True when a firing needs the trigger's A-TREAT network: join
   /// conditions over several tuple variables, or catch-all conjuncts.
   /// Otherwise the predicate index decided the whole condition and a
   /// match fires straight from the plan.
   bool network = false;
-  std::shared_ptr<const ActionTemplate> action;
-  /// Aggregate values a firing supplies ahead of `constants`.
-  uint32_t num_aggregates = 0;
   /// This trigger's constants of the action signature.
   std::vector<Value> constants;
+
+  /// True when tokens of `source` change this trigger's state. Whether a
+  /// source is a local table decides whether its nodes are virtual, so a
+  /// stored node is never on the same source as a virtual one.
+  bool Maintains(DataSourceId source) const {
+    return std::find(maintained_sources.begin(), maintained_sources.end(),
+                     source) != maintained_sources.end();
+  }
 
   /// Evaluates every `raise event` argument in order; the first error
   /// stops it.

@@ -17,16 +17,15 @@ Status OutOfRange(const char* what, uint64_t id) {
 }  // namespace
 
 Status TriggerDirectory::Install(TriggerId id, uint64_t ts_id, uint32_t kind,
-                                 const std::vector<DataSourceId>& sources,
                                  std::shared_ptr<const FiringPlan> plan) {
   if (id >= kCapacity) return OutOfRange("trigger", id);
   if (ts_id >= kCapacity) return OutOfRange("trigger set", ts_id);
-  kind &= kMultiVariable | kAggregate;
-  if (kind != 0) {
-    for (DataSourceId source : sources) {
+  kind &= kAggregate;
+  if (plan != nullptr) {
+    for (DataSourceId source : plan->maintained_sources) {
       if (source >= kCapacity) return OutOfRange("data source", source);
     }
-    for (DataSourceId source : sources) {
+    for (DataSourceId source : plan->maintained_sources) {
       maintained_.Ensure(source)->fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -44,19 +43,16 @@ uint32_t TriggerDirectory::Remove(TriggerId id,
   if (slot == nullptr) return 0;
   uint32_t flags = slot->flags.exchange(0, std::memory_order_acq_rel);
   slot->plan.store(nullptr, std::memory_order_release);
+  if (slot->owner != nullptr) {
+    for (DataSourceId source : slot->owner->maintained_sources) {
+      std::atomic<uint32_t>* count = maintained_.FindMutable(source);
+      uint32_t n = count->load(std::memory_order_relaxed);
+      if (n > 0) count->store(n - 1, std::memory_order_relaxed);
+    }
+  }
   if (plan != nullptr) *plan = std::move(slot->owner);
   slot->owner.reset();
   return flags;
-}
-
-void TriggerDirectory::ReleaseSources(
-    const std::vector<DataSourceId>& sources) {
-  for (DataSourceId source : sources) {
-    std::atomic<uint32_t>* count = maintained_.FindMutable(source);
-    if (count == nullptr) continue;
-    uint32_t n = count->load(std::memory_order_relaxed);
-    if (n > 0) count->store(n - 1, std::memory_order_relaxed);
-  }
 }
 
 void TriggerDirectory::SetEnabled(TriggerId id, bool enabled) {

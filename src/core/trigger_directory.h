@@ -18,9 +18,9 @@ struct FiringPlan;
 /// The dispatch state the token pipeline reads on every predicate match
 /// (§5.4: "predicate index match → pin the trigger → pass the token to
 /// its network node"): per trigger, whether it is live and enabled,
-/// whether it keeps join memories or aggregate state, its trigger set and
-/// its firing plan; per trigger set, whether it is enabled; per data
-/// source, how many triggers need the maintenance pass.
+/// whether it is an aggregate, its trigger set and its firing plan; per
+/// trigger set, whether it is enabled; per data source, how many triggers
+/// need the maintenance pass.
 ///
 /// Readers take no lock. Every table is a dense array indexed by id
 /// (the catalog hands out trigger and trigger-set ids in order from 1 and
@@ -32,8 +32,7 @@ class TriggerDirectory {
   // Slot flags.
   static constexpr uint32_t kLive = 1u << 0;
   static constexpr uint32_t kEnabled = 1u << 1;
-  static constexpr uint32_t kMultiVariable = 1u << 2;  // stored join memories
-  static constexpr uint32_t kAggregate = 1u << 3;  // fires from maintenance
+  static constexpr uint32_t kAggregate = 1u << 2;  // fires from maintenance
 
   static constexpr int kChunkBits = 14;
   static constexpr uint64_t kChunkSize = uint64_t{1} << kChunkBits;
@@ -89,23 +88,18 @@ class TriggerDirectory {
   // --- writers (serialized by the caller) -----------------------------------
 
   /// Publishes a live, enabled trigger and its firing plan. `kind` is
-  /// kMultiVariable and/or kAggregate (0 for a selection trigger); a
-  /// trigger of either kind counts once per entry of `sources` toward
-  /// NeedsMaintenance. Changes nothing when an id is out of range.
+  /// kAggregate or 0; each entry of the plan's `maintained_sources`
+  /// counts once toward NeedsMaintenance. Changes nothing when an id is
+  /// out of range.
   Status Install(TriggerId id, uint64_t ts_id, uint32_t kind,
-                 const std::vector<DataSourceId>& sources,
                  std::shared_ptr<const FiringPlan> plan = nullptr);
 
-  /// Stops dispatch of `id`; returns the flags it had (0 if not live).
-  /// The plan leaves the slot into `plan`, whose holder keeps it until no
-  /// fire pass can still read it (see Plan); without `plan` it is freed
-  /// at once.
+  /// Stops dispatch of `id`, takes back its plan's maintenance counts,
+  /// and returns the flags it had (0 if not live). The plan leaves the
+  /// slot into `plan`, whose holder keeps it until no fire pass can still
+  /// read it (see Plan); without `plan` it is freed at once.
   uint32_t Remove(TriggerId id,
                   std::shared_ptr<const FiringPlan>* plan = nullptr);
-
-  /// Takes back the maintenance counts Install added for a removed
-  /// trigger of kind kMultiVariable or kAggregate.
-  void ReleaseSources(const std::vector<DataSourceId>& sources);
 
   void SetEnabled(TriggerId id, bool enabled);
   Status SetSetEnabled(uint64_t ts_id, bool enabled);

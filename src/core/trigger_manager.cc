@@ -13,15 +13,6 @@ namespace {
 
 constexpr char kDefaultSetName[] = "default";
 
-// The data source of each condition-graph node (one per tuple variable).
-std::vector<DataSourceId> NodeSources(const TriggerRuntime& runtime) {
-  std::vector<DataSourceId> sources;
-  for (const auto& node : runtime.graph.nodes()) {
-    sources.push_back(node.info.source_id);
-  }
-  return sources;
-}
-
 }  // namespace
 
 TriggerManager::TriggerManager(Database* db, TriggerManagerOptions options)
@@ -91,7 +82,7 @@ Status TriggerManager::Open() {
   }
 
   // Reload the trigger sets' enabled flags, then previously created
-  // triggers: rebuild the predicate index and prime their networks.
+  // triggers: rebuild the predicate index and their networks.
   TMAN_ASSIGN_OR_RETURN(std::vector<TriggerSetRow> sets,
                         catalog_->AllTriggerSets());
   {
@@ -329,7 +320,7 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   }
   TMAN_ASSIGN_OR_RETURN(
       runtime->network,
-      ATreatNetwork::Build(runtime->graph, db_, ATreatOptions{}, schemas));
+      ATreatNetwork::Build(runtime->graph, db_, schemas));
   return runtime;
 }
 
@@ -397,17 +388,15 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
     runtime->aggregate = std::move(*ev);
   }
 
-  // Prime stored alpha memories from current table contents.
-  TMAN_RETURN_IF_ERROR(runtime->network->Prime());
-
-  const uint32_t kind =
-      (runtime->multi_variable() ? TriggerDirectory::kMultiVariable : 0) |
-      (runtime->aggregate != nullptr ? TriggerDirectory::kAggregate : 0);
+  const bool stateful =
+      runtime->multi_variable() || runtime->aggregate != nullptr;
   std::shared_ptr<const FiringPlan> plan = action_templates_.MakePlan(*runtime);
   {
     std::unique_lock lock(meta_mutex_);
-    Status s = directory_.Install(trigger_id, ts_id, kind,
-                                  NodeSources(*runtime), std::move(plan));
+    Status s = directory_.Install(
+        trigger_id, ts_id,
+        runtime->aggregate != nullptr ? TriggerDirectory::kAggregate : 0,
+        std::move(plan));
     if (!s.ok()) {
       for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
       return s;
@@ -422,7 +411,7 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
 
   // Join memories and aggregate state live in the runtime, so the cache
   // keeps it; a selection trigger fires from its plan alone.
-  if (kind != 0) cache_->Put(trigger_id, TriggerHandle(runtime));
+  if (stateful) cache_->Put(trigger_id, TriggerHandle(runtime));
   return Status::OK();
 }
 
@@ -450,7 +439,6 @@ Status TriggerManager::DropTrigger(const std::string& name) {
   std::string lname = ToLower(name);
   TriggerId id = 0;
   std::vector<ExprId> expr_ids;
-  uint32_t flags = 0;
   // Freed on return, once RemovePredicate below has taken every stripe
   // a fire pass could read it under exclusively.
   std::shared_ptr<const FiringPlan> plan;
@@ -467,17 +455,8 @@ Status TriggerManager::DropTrigger(const std::string& name) {
       expr_ids_by_trigger_.erase(eit);
     }
     trigger_by_name_.erase(it);
-    flags = directory_.Remove(id, &plan);
+    directory_.Remove(id, &plan);
     aggregates_.erase(id);
-  }
-  // Fix per-source maintenance counts using the runtime if available.
-  if ((flags & (TriggerDirectory::kMultiVariable |
-                TriggerDirectory::kAggregate)) != 0) {
-    auto pinned = cache_->Pin(id);
-    if (pinned.ok()) {
-      std::unique_lock lock(meta_mutex_);
-      directory_.ReleaseSources(NodeSources(**pinned));
-    }
   }
   for (ExprId eid : expr_ids) {
     Status s = pindex_->RemovePredicate(eid);
@@ -738,7 +717,8 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
   // Maintenance pass (only when some trigger on this source keeps state:
   // stored alpha memories of multi-variable triggers, or aggregate
   // groups). Matching here ignores event opcodes — state must track the
-  // selection result regardless of which events fire the trigger.
+  // selection result regardless of which events fire the trigger. A
+  // virtual node keeps nothing, so its matches pin nothing here.
   if (directory_.NeedsMaintenance(token.data_source)) {
     auto maintain = [&](const Tuple& tuple, bool add) -> Status {
       Status inner = Status::OK();
@@ -746,23 +726,26 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
           token.data_source, tuple, partition, num_partitions,
           [&](const PredicateMatch& m) {
             if (!inner.ok()) return;
+            // Read under the match's stripe lock (TriggerDirectory::Plan).
+            const FiringPlan* plan = directory_.Plan(m.trigger_id);
+            if (plan == nullptr || !plan->Maintains(token.data_source)) {
+              return;
+            }
             const uint32_t flags = directory_.Flags(m.trigger_id);
             const bool is_aggregate =
                 (flags & TriggerDirectory::kAggregate) != 0;
             // Join memories track the selection even while the trigger is
             // disabled; a disabled aggregate's groups stay frozen.
-            const uint32_t needed = is_aggregate
-                                        ? TriggerDirectory::kEnabled
-                                        : TriggerDirectory::kMultiVariable;
-            if ((flags & needed) == 0) return;
+            if (is_aggregate && (flags & TriggerDirectory::kEnabled) == 0) {
+              return;
+            }
             auto pinned = cache_->Pin(m.trigger_id);
             if (!pinned.ok()) {
               inner = pinned.status();
               return;
             }
             if (is_aggregate) {
-              const FiringPlan* plan = directory_.Plan(m.trigger_id);
-              if (plan != nullptr && (*pinned)->aggregate != nullptr) {
+              if ((*pinned)->aggregate != nullptr) {
                 Status s = RunAggregateDelta(*plan, *pinned, token, tuple,
                                              add, m.next_node);
                 if (!s.ok()) inner = s;
@@ -977,11 +960,9 @@ Result<TriggerHandle> TriggerManager::LoadTrigger(TriggerId id) {
   }
   TMAN_ASSIGN_OR_RETURN(std::shared_ptr<TriggerRuntime> runtime,
                         BuildRuntime(*create, id, row->ts_id));
-  // Re-prime stored memories from local tables. Stream-fed stored
-  // memories restart empty after eviction — replaying a stream is out of
-  // scope (the paper's persistent queue covers staged, not consumed,
-  // updates).
-  TMAN_RETURN_IF_ERROR(runtime->network->Prime());
+  // A reload starts every stored memory empty: local tables are virtual
+  // nodes, and replaying a stream is out of scope (the paper's persistent
+  // queue covers staged, not consumed, updates).
   {
     std::shared_lock lock(meta_mutex_);
     auto it = aggregates_.find(id);

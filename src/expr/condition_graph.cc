@@ -50,29 +50,6 @@ Result<ConditionGraph> ConditionGraph::Build(
   return g;
 }
 
-Result<ConditionGraph> ConditionGraph::Permuted(
-    const std::vector<size_t>& order) const {
-  if (order.size() != nodes_.size()) {
-    return Status::InvalidArgument("permutation size does not match nodes");
-  }
-  std::vector<size_t> pos_of(nodes_.size(), nodes_.size());
-  for (size_t p = 0; p < order.size(); ++p) {
-    if (order[p] >= nodes_.size() || pos_of[order[p]] != nodes_.size()) {
-      return Status::InvalidArgument("order is not a permutation");
-    }
-    pos_of[order[p]] = p;
-  }
-  ConditionGraph g;
-  g.nodes_.reserve(nodes_.size());
-  for (size_t p = 0; p < order.size(); ++p) g.nodes_.push_back(nodes_[order[p]]);
-  g.edges_.reserve(edges_.size());
-  for (const Edge& e : edges_) {
-    g.edges_.push_back(Edge{pos_of[e.a], pos_of[e.b], e.join_conjuncts});
-  }
-  g.catch_all_ = catch_all_;
-  return g;
-}
-
 Result<size_t> ConditionGraph::NodeIndex(const std::string& var) const {
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (EqualsIgnoreCase(nodes_[i].info.var, var)) return i;

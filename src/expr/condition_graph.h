@@ -58,15 +58,6 @@ class ConditionGraph {
   /// Index of the node for `var`, or error.
   Result<size_t> NodeIndex(const std::string& var) const;
 
-  /// The same graph with its nodes reordered: position p of the result
-  /// holds node `order[p]`, edge endpoints are remapped accordingly, and
-  /// the edge *list order* is preserved (so per-edge statistics indexed
-  /// by edge position stay meaningful across permutations). Conjuncts
-  /// reference variables by name and are shared as-is. `order` must be a
-  /// permutation of 0..nodes().size()-1. This is how the adaptive
-  /// re-optimizer expresses a Gator join-order change.
-  Result<ConditionGraph> Permuted(const std::vector<size_t>& order) const;
-
   std::string ToString() const;
 
  private:

@@ -16,8 +16,8 @@ namespace tman {
 inline constexpr size_t kDefaultTokenBatchSize = 64;
 
 /// A small columnar batch of tokens: the unit of work the batched
-/// evaluation pipeline threads through the bytecode VM, the predicate
-/// index, and the Gator network in place of a single `Tuple*`.
+/// evaluation pipeline threads through the bytecode VM and the predicate
+/// index in place of a single `Tuple*`.
 ///
 /// Layout is column-major over binding slots: slot(s) is a contiguous
 /// `const Tuple* const*` with one entry per lane, so a kField operand

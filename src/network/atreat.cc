@@ -8,7 +8,7 @@
 namespace tman {
 
 Result<std::unique_ptr<ATreatNetwork>> ATreatNetwork::Build(
-    const ConditionGraph& graph, Database* db, const ATreatOptions& options,
+    const ConditionGraph& graph, Database* db,
     const std::vector<Schema>& schemas) {
   if (!schemas.empty() && schemas.size() != graph.nodes().size()) {
     return Status::InvalidArgument(
@@ -28,27 +28,21 @@ Result<std::unique_ptr<ATreatNetwork>> ATreatNetwork::Build(
       TMAN_ASSIGN_OR_RETURN(anode.schema, db->SchemaOf(gnode.info.source_name));
     }
     // Single-variable triggers need no memories at all: the predicate
-    // index decides everything and the token itself is the firing.
-    if (!multi) {
-      anode.stored = false;
-      continue;
-    }
-    if (options.prefer_virtual && local_table) {
-      anode.stored = false;  // virtual alpha node (A-TREAT)
-    } else {
-      anode.stored = true;
-      anode.memory = std::make_unique<AlphaMemory>();
-    }
+    // index decides everything and the token itself is the firing. A
+    // local table is a virtual alpha node (A-TREAT).
+    anode.stored = multi && !local_table;
+    if (anode.stored) anode.memory = std::make_unique<AlphaMemory>();
   }
   net->CompilePredicates();
   return net;
 }
 
 void ATreatNetwork::CompilePredicates() {
-  // Selections are read only by a multi-variable network: Prime fills
-  // stored memories and Enumerate filters virtual nodes. A single-variable
-  // trigger's selection is the predicate index's alone.
+  // Only join enumeration over a virtual node reads a selection. A stored
+  // node's tuples passed it in the predicate index before AddTuple, and a
+  // single-variable trigger's selection is the predicate index's alone.
   for (size_t i = 0; i < nodes_.size() && nodes_.size() > 1; ++i) {
+    if (nodes_[i].stored) continue;
     ExprPtr selection = graph_.nodes()[i].SelectionPredicate();
     if (selection == nullptr) continue;
     BindingLayout layout;
@@ -84,40 +78,6 @@ void ATreatNetwork::CompilePredicates() {
       catch_all_programs_.push_back(TryCompilePredicate(conjunct, full));
     }
   }
-}
-
-Status ATreatNetwork::Prime() {
-  if (db_ == nullptr) return Status::OK();
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    AlphaNode& anode = nodes_[i];
-    const ConditionGraph::Node& gnode = graph_.nodes()[i];
-    if (!anode.stored || !db_->HasTable(gnode.info.source_name)) continue;
-    ExprPtr selection = gnode.SelectionPredicate();
-    Status inner = Status::OK();
-    TMAN_RETURN_IF_ERROR(db_->Scan(
-        gnode.info.source_name, [&](const Rid&, const Tuple& t) {
-          if (selection != nullptr) {
-            Result<bool> pass = false;
-            if (anode.compiled_selection != nullptr) {
-              const Tuple* tuples[] = {&t};
-              pass = anode.compiled_selection->EvalBool(tuples, 1);
-            } else {
-              Bindings b;
-              b.Bind(gnode.info.var, &anode.schema, &t);
-              pass = EvalPredicate(selection, b);
-            }
-            if (!pass.ok()) {
-              inner = pass.status();
-              return false;
-            }
-            if (!*pass) return true;
-          }
-          anode.memory->Insert(t);
-          return true;
-        }));
-    TMAN_RETURN_IF_ERROR(inner);
-  }
-  return Status::OK();
 }
 
 Status ATreatNetwork::AddTuple(NetworkNodeId node, const Tuple& tuple) const {

@@ -14,18 +14,13 @@
 
 namespace tman {
 
-/// Options for building a trigger's A-TREAT network.
-struct ATreatOptions {
-  /// Use virtual alpha nodes (query the base table on demand instead of
-  /// materializing the selection) for tuple variables whose data source
-  /// is a local MiniDB table — the memory-saving device that
-  /// distinguishes A-TREAT from TREAT. Stream sources are always stored.
-  bool prefer_virtual = true;
-};
-
 /// The A-TREAT discrimination network of one trigger: one alpha node per
-/// tuple variable (stored memory or virtual), join condition testing, and
-/// a P-node that emits complete variable bindings (rule firings).
+/// tuple variable, join condition testing, and a P-node that emits
+/// complete variable bindings (rule firings). A variable over a local
+/// MiniDB table gets a virtual alpha node (the table is queried on demand
+/// instead of materializing the selection), the memory-saving device
+/// that distinguishes A-TREAT from TREAT; any other source (a stream) gets
+/// a stored alpha memory.
 /// Selection predicates are NOT tested here — the shared predicate index
 /// performs all selection testing and passes matched tokens to a network
 /// node (the nextNetworkNode of §5.1).
@@ -39,12 +34,8 @@ class ATreatNetwork {
   /// schema; when empty, schemas are read from the database tables named
   /// by the graph (stream sources then require explicit schemas).
   static Result<std::unique_ptr<ATreatNetwork>> Build(
-      const ConditionGraph& graph, Database* db, const ATreatOptions& options,
+      const ConditionGraph& graph, Database* db,
       const std::vector<Schema>& schemas = {});
-
-  /// Fills stored memories for local-table sources from current table
-  /// contents (the §5.1 "prime the trigger to make it ready to run").
-  Status Prime();
 
   /// Memory maintenance: the tuple passed its node's selection predicate
   /// and must be added to / removed from the node's alpha memory. No-ops
@@ -76,10 +67,11 @@ class ATreatNetwork {
     bool stored = true;
     std::unique_ptr<AlphaMemory> memory;  // stored nodes only
     Schema schema;
-    /// The node's selection predicate compiled against its schema; null
-    /// when there is no predicate, the network has a single node (nothing
-    /// reads it), or compilation was refused (eval then falls back to the
-    /// interpreter).
+    /// A virtual node's selection predicate compiled against its schema,
+    /// for join enumeration over the base table; null for stored nodes
+    /// (the predicate index applied it before AddTuple), when there is no
+    /// predicate, or when compilation was refused (eval then falls back
+    /// to the interpreter).
     std::shared_ptr<const CompiledPredicate> compiled_selection;
   };
 

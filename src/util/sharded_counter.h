@@ -53,10 +53,10 @@ class ShardedCounter {
 };
 
 /// Process-wide switch for the adaptive layer's runtime statistics
-/// (per-signature probe/fan-out counters, per-stage latency, Gator edge
-/// selectivities). Defaults to on — the counters are designed to be
-/// always-on-cheap — and exists so `bench_adapt` can measure exactly what
-/// they cost (the CI gate holds the overhead under 3%).
+/// (per-signature probe/fan-out counters, per-stage latency). Defaults
+/// to on — the counters are designed to be always-on-cheap — and exists
+/// so `bench_adapt` can measure exactly what they cost (the CI gate holds
+/// the overhead under 3%).
 namespace runtime_stats {
 
 inline std::atomic<bool>& Flag() {

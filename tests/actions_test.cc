@@ -36,8 +36,7 @@ class ActionsTest : public ::testing::Test {
     auto graph = ConditionGraph::Build(vars, {});
     ASSERT_TRUE(graph.ok());
     trigger_->graph = *graph;
-    auto net = ATreatNetwork::Build(trigger_->graph, db_.get(),
-                                    ATreatOptions{});
+    auto net = ATreatNetwork::Build(trigger_->graph, db_.get());
     ASSERT_TRUE(net.ok());
     trigger_->network = std::move(*net);
   }
@@ -267,7 +266,7 @@ class PlanDifferential {
         {"q", "quotes", 1, OpCode::kInsertOrUpdate},
         {"r", "refs", 2, OpCode::kInsertOrUpdate}};
     t->graph = ConditionGraph::Build(vars, {}).value();
-    t->network = ATreatNetwork::Build(t->graph, nullptr, ATreatOptions{},
+    t->network = ATreatNetwork::Build(t->graph, nullptr,
                                       {q_schema_, r_schema_})
                      .value();
     t->cmd.action.kind = ActionKind::kRaiseEvent;

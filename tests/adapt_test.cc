@@ -1,8 +1,8 @@
 // Tests for online adaptive re-optimization: the constant-set organization
 // swap (never dropping or double-reporting a match, under a 1000-seed
 // deterministic interleaving sweep against a never-adapting shadow
-// oracle), fault injection at the adapt.* sites, cost-based Gator join
-// reorganization equivalence, and the `stats` / `adapt` console commands.
+// oracle), fault injection at the adapt.* sites, and the `stats` / `adapt`
+// console commands.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 
 #include "core/trigger_manager.h"
 #include "db/sql.h"
-#include "network/gator.h"
 #include "parser/parser.h"
 #include "predindex/cost_model.h"
 #include "predindex/predicate_index.h"
@@ -273,169 +272,6 @@ TEST_F(AdaptSwapTest, FaultInjectionAtEverySiteSurfacesAndRecovers) {
       MatchBothExpectEqual(EmpInsert("after-recover", 1.0, i));
     }
   }
-}
-
-// --- Gator join-order reorganization ----------------------------------
-
-// Orders ⋈ Shipments ⋈ Invoices on a shared oid.
-struct JoinFixture {
-  std::vector<TupleVarInfo> vars = {
-      {"o", "orders", 11, OpCode::kInsertOrUpdate},
-      {"s", "shipments", 12, OpCode::kInsertOrUpdate},
-      {"i", "invoices", 13, OpCode::kInsertOrUpdate},
-  };
-  std::vector<Schema> schemas = {
-      Schema({{"oid", DataType::kInt}, {"cust", DataType::kInt}}),
-      Schema({{"oid", DataType::kInt}, {"status", DataType::kVarchar}}),
-      Schema({{"oid", DataType::kInt}, {"total", DataType::kFloat}}),
-  };
-
-  Result<ConditionGraph> Graph() {
-    auto cnf = ToCnf(Parse("o.oid = s.oid and s.oid = i.oid"));
-    if (!cnf.ok()) return cnf.status();
-    return ConditionGraph::Build(vars, *cnf);
-  }
-};
-
-/// Firing rows keyed by their original-order binding values, so two
-/// networks (one reorganized, one not) can be compared exactly.
-std::string FiringKey(const std::vector<Tuple>& bindings) {
-  std::string key;
-  for (const Tuple& t : bindings) {
-    key += t.ToString();
-    key += "|";
-  }
-  return key;
-}
-
-TEST(GatorReorganizeTest, ReorganizedNetworkFiresIdenticallyToStatic) {
-  JoinFixture fx;
-  auto graph = fx.Graph();
-  ASSERT_TRUE(graph.ok());
-  auto adaptive = GatorNetwork::Build(*graph, fx.schemas);
-  ASSERT_TRUE(adaptive.ok());
-  auto fixed = GatorNetwork::Build(*graph, fx.schemas);
-  ASSERT_TRUE(fixed.ok());
-
-  std::multiset<std::string> adaptive_firings, fixed_firings;
-  auto record_a = [&](const std::vector<Tuple>& b) {
-    adaptive_firings.insert(FiringKey(b));
-  };
-  auto record_f = [&](const std::vector<Tuple>& b) {
-    fixed_firings.insert(FiringKey(b));
-  };
-
-  Random rng(42);
-  auto feed = [&](int count) {
-    for (int i = 0; i < count; ++i) {
-      int64_t oid = static_cast<int64_t>(rng.Uniform(12));
-      switch (rng.Uniform(3)) {
-        case 0: {
-          Tuple t({Value::Int(oid), Value::Int(static_cast<int64_t>(i))});
-          ASSERT_TRUE((*adaptive)->AddTuple(0, t, record_a).ok());
-          ASSERT_TRUE((*fixed)->AddTuple(0, t, record_f).ok());
-          break;
-        }
-        case 1: {
-          Tuple t({Value::Int(oid), Value::String("s" + std::to_string(i))});
-          ASSERT_TRUE((*adaptive)->AddTuple(1, t, record_a).ok());
-          ASSERT_TRUE((*fixed)->AddTuple(1, t, record_f).ok());
-          break;
-        }
-        default: {
-          Tuple t({Value::Int(oid), Value::Float(i * 1.5)});
-          ASSERT_TRUE((*adaptive)->AddTuple(2, t, record_a).ok());
-          ASSERT_TRUE((*fixed)->AddTuple(2, t, record_f).ok());
-          break;
-        }
-      }
-    }
-  };
-
-  feed(60);
-  EXPECT_EQ(adaptive_firings, fixed_firings);
-
-  // Reorganize to the reversed order; firings already delivered stay
-  // delivered (replay suppresses them) and future firings are identical,
-  // with bindings still in original variable order.
-  ASSERT_TRUE((*adaptive)->Reorganize({2, 1, 0}).ok());
-  EXPECT_EQ((*adaptive)->current_order(), (std::vector<size_t>{2, 1, 0}));
-  EXPECT_EQ((*adaptive)->reorganizations(), 1u);
-  EXPECT_EQ(adaptive_firings, fixed_firings);  // replay fired nothing
-
-  feed(60);
-  EXPECT_EQ(adaptive_firings, fixed_firings);
-
-  // Removals behave identically after the reorganization too.
-  Tuple gone({Value::Int(3), Value::Int(0)});
-  ASSERT_TRUE((*adaptive)->RemoveTuple(0, gone).ok());
-  ASSERT_TRUE((*fixed)->RemoveTuple(0, gone).ok());
-  feed(30);
-  EXPECT_EQ(adaptive_firings, fixed_firings);
-}
-
-TEST(GatorReorganizeTest, MaybeReorganizePicksSelectiveVariableFirst) {
-  JoinFixture fx;
-  auto graph = fx.Graph();
-  ASSERT_TRUE(graph.ok());
-  auto net = GatorNetwork::Build(*graph, fx.schemas);
-  ASSERT_TRUE(net.ok());
-  auto ignore = [](const std::vector<Tuple>&) {};
-
-  // Orders is huge and joins nothing; invoices and shipments are small
-  // and join each other densely. A cost-aware order starts with the
-  // small, selective variables instead of the big orders alpha.
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(
-        (*net)
-            ->AddTuple(0, Tuple({Value::Int(100000 + i), Value::Int(i)}),
-                       ignore)
-            .ok());
-  }
-  // A few joinable orders so the edges actually observe traffic (the
-  // hysteresis gate needs attempts, not just alpha sizes).
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        (*net)->AddTuple(0, Tuple({Value::Int(i), Value::Int(i)}), ignore)
-            .ok());
-  }
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        (*net)
-            ->AddTuple(1, Tuple({Value::Int(i), Value::String("s")}), ignore)
-            .ok());
-    ASSERT_TRUE(
-        (*net)->AddTuple(2, Tuple({Value::Int(i), Value::Float(1)}), ignore)
-            .ok());
-  }
-  auto recommended = (*net)->RecommendOrder();
-  ASSERT_EQ(recommended.size(), 3u);
-  EXPECT_NE(recommended[0], 0u)
-      << "orders (the large, unselective alpha) should not lead";
-
-  auto installed = (*net)->MaybeReorganize(/*min_gain_ratio=*/1.01,
-                                           /*min_attempts=*/1);
-  ASSERT_TRUE(installed.ok()) << installed.status().ToString();
-  EXPECT_TRUE(*installed);
-  EXPECT_EQ((*net)->current_order(), recommended);
-
-  // Stable: a second call finds nothing better to do.
-  auto again = (*net)->MaybeReorganize(1.01, 1);
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(*again);
-}
-
-TEST(GatorReorganizeTest, RejectsNonPermutations) {
-  JoinFixture fx;
-  auto graph = fx.Graph();
-  ASSERT_TRUE(graph.ok());
-  auto net = GatorNetwork::Build(*graph, fx.schemas);
-  ASSERT_TRUE(net.ok());
-  EXPECT_FALSE((*net)->Reorganize({0, 1}).ok());
-  EXPECT_FALSE((*net)->Reorganize({0, 1, 1}).ok());
-  EXPECT_FALSE((*net)->Reorganize({0, 1, 5}).ok());
-  EXPECT_TRUE((*net)->Reorganize({0, 1, 2}).ok());  // identity no-op
-  EXPECT_EQ((*net)->reorganizations(), 0u);
 }
 
 // --- console / wire surface -------------------------------------------

@@ -9,7 +9,7 @@
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/token_batch.h"
-#include "network/gator.h"
+#include "network/atreat.h"
 #include "parser/parser.h"
 #include "predindex/predicate_index.h"
 #include "runtime/task_queue.h"
@@ -548,106 +548,6 @@ TEST(MatchBatchTest, LaneErrorStopsOnlyThatToken) {
 }
 
 // ---------------------------------------------------------------------------
-// Gator batch probes
-// ---------------------------------------------------------------------------
-
-TEST(GatorBatchTest, AddTupleBatchMatchesSequentialAddTuple) {
-  std::vector<TupleVarInfo> vars = {
-      {"o", "orders", 11, OpCode::kInsertOrUpdate},
-      {"s", "shipments", 12, OpCode::kInsertOrUpdate},
-      {"c", "checks", 13, OpCode::kInsertOrUpdate},
-  };
-  std::vector<Schema> schemas = {
-      Schema({{"oid", DataType::kInt}, {"cust", DataType::kInt}}),
-      Schema({{"oid", DataType::kInt}, {"qty", DataType::kInt}}),
-      Schema({{"oid", DataType::kInt}, {"lim", DataType::kInt}}),
-  };
-  auto cnf = ToCnf(Parse(
-      "o.oid = s.oid and s.oid = c.oid and o.cust < s.qty and c.lim > 0"));
-  ASSERT_TRUE(cnf.ok());
-  auto graph = ConditionGraph::Build(vars, *cnf);
-  ASSERT_TRUE(graph.ok());
-
-  auto make_tuples = [](int n, int mod, int second) {
-    std::vector<Tuple> out;
-    for (int i = 0; i < n; ++i) {
-      out.push_back(Tuple({Value::Int(i % mod), Value::Int(second)}));
-    }
-    return out;
-  };
-  std::vector<Tuple> orders = make_tuples(24, 6, 1);
-  std::vector<Tuple> ships = make_tuples(24, 6, 10);
-  std::vector<Tuple> checks = make_tuples(12, 6, 5);
-
-  // Oracle: scalar AddTuple sequence.
-  auto scalar_net = GatorNetwork::Build(*graph, schemas);
-  ASSERT_TRUE(scalar_net.ok());
-  uint64_t scalar_firings = 0;
-  auto count = [&scalar_firings](const std::vector<Tuple>&) {
-    ++scalar_firings;
-  };
-  for (const Tuple& t : orders) {
-    ASSERT_TRUE((*scalar_net)->AddTuple(0, t, count).ok());
-  }
-  for (const Tuple& t : ships) {
-    ASSERT_TRUE((*scalar_net)->AddTuple(1, t, count).ok());
-  }
-  for (const Tuple& t : checks) {
-    ASSERT_TRUE((*scalar_net)->AddTuple(2, t, count).ok());
-  }
-
-  auto batch_net = GatorNetwork::Build(*graph, schemas);
-  ASSERT_TRUE(batch_net.ok());
-  uint64_t batch_firings = 0;
-  std::vector<size_t> lanes_seen;
-  auto batch_count = [&](size_t lane, const std::vector<Tuple>&) {
-    ++batch_firings;
-    lanes_seen.push_back(lane);
-  };
-  ASSERT_TRUE((*batch_net)->AddTupleBatch(0, orders, batch_count).ok());
-  ASSERT_TRUE((*batch_net)->AddTupleBatch(1, ships, batch_count).ok());
-  ASSERT_TRUE((*batch_net)->AddTupleBatch(2, checks, batch_count).ok());
-
-  EXPECT_GT(scalar_firings, 0u);
-  EXPECT_EQ(batch_firings, scalar_firings);
-  for (size_t lane : lanes_seen) EXPECT_LT(lane, 24u);
-  for (size_t level = 1; level < schemas.size(); ++level) {
-    EXPECT_EQ((*batch_net)->beta_size(level), (*scalar_net)->beta_size(level))
-        << level;
-  }
-  EXPECT_EQ((*batch_net)->total_beta_rows(), (*scalar_net)->total_beta_rows());
-}
-
-TEST(GatorBatchTest, JoinErrorSurfacesFromBatch) {
-  std::vector<TupleVarInfo> vars = {
-      {"a", "as", 21, OpCode::kInsertOrUpdate},
-      {"b", "bs", 22, OpCode::kInsertOrUpdate},
-  };
-  std::vector<Schema> schemas = {
-      Schema({{"k", DataType::kInt}}),
-      Schema({{"k", DataType::kInt}, {"d", DataType::kInt}}),
-  };
-  // The second conjunct references BOTH variables, so it stays a join
-  // conjunct (a single-variable conjunct would be pushed down into the
-  // node's selection predicate, which Gator assumes pre-applied).
-  auto cnf = ToCnf(Parse("a.k = b.k and 10 / (b.d - a.k) > 0"));
-  ASSERT_TRUE(cnf.ok());
-  auto graph = ConditionGraph::Build(vars, *cnf);
-  ASSERT_TRUE(graph.ok());
-  auto net = GatorNetwork::Build(*graph, schemas);
-  ASSERT_TRUE(net.ok());
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*net)->AddTuple(0, Tuple({Value::Int(1)}), nullptr).ok());
-  }
-  // One arrival joining 4 prefixes, all dividing by zero (b.d - a.k = 0):
-  // the batched filter must surface the scalar error.
-  Status s = (*net)->AddTupleBatch(
-      1, {Tuple({Value::Int(1), Value::Int(1)})}, nullptr);
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.message(), "integer division by zero");
-}
-
-// ---------------------------------------------------------------------------
 // Hot path proof: the batched pipeline never re-enters the interpreter
 // ---------------------------------------------------------------------------
 
@@ -673,7 +573,8 @@ TEST(BatchHotPathTest, BatchedPathsDoNotTouchInterpreter) {
   spec.trigger_id = 100;
   ASSERT_TRUE(pindex.AddPredicate(spec).ok());
 
-  // Gator network whose join conjuncts all compile.
+  // A-TREAT network over stored memories (stream sources) whose join and
+  // catch-all conjuncts all compile.
   std::vector<TupleVarInfo> vars = {
       {"o", "orders", 11, OpCode::kInsertOrUpdate},
       {"s", "shipments", 12, OpCode::kInsertOrUpdate},
@@ -682,12 +583,13 @@ TEST(BatchHotPathTest, BatchedPathsDoNotTouchInterpreter) {
       Schema({{"oid", DataType::kInt}, {"cust", DataType::kInt}}),
       Schema({{"oid", DataType::kInt}, {"qty", DataType::kInt}}),
   };
-  auto cnf = ToCnf(Parse("o.oid = s.oid and o.cust < s.qty"));
+  auto cnf = ToCnf(Parse("o.oid = s.oid and o.cust < s.qty and 2 > 1"));
   ASSERT_TRUE(cnf.ok());
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
-  auto gator = GatorNetwork::Build(*graph, schemas);
-  ASSERT_TRUE(gator.ok());
+  ASSERT_EQ(graph->catch_all().size(), 1u);
+  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
+  ASSERT_TRUE(net.ok());
 
   const uint64_t before = InterpreterEvalCalls();
 
@@ -715,14 +617,18 @@ TEST(BatchHotPathTest, BatchedPathsDoNotTouchInterpreter) {
                               [](size_t, const PredicateMatch&) {}, nullptr)
                   .ok());
 
-  // 3. Batched Gator arrival (multi-candidate joins).
-  std::vector<Tuple> orders, ships;
-  for (int i = 0; i < 16; ++i) {
-    orders.push_back(Tuple({Value::Int(i % 4), Value::Int(1)}));
-    ships.push_back(Tuple({Value::Int(i % 4), Value::Int(10)}));
+  // 3. A-TREAT maintenance and multi-candidate joins: every shipment
+  //    joins the four orders that share its oid.
+  int firings = 0;
+  auto count = [&firings](const std::vector<Tuple>&) { ++firings; };
+  for (NetworkNodeId node : {0, 1}) {
+    for (int i = 0; i < 16; ++i) {
+      Tuple t({Value::Int(i % 4), Value::Int(node == 0 ? 1 : 10)});
+      ASSERT_TRUE((*net)->AddTuple(node, t).ok());
+      ASSERT_TRUE((*net)->MatchJoins(node, t, count).ok());
+    }
   }
-  ASSERT_TRUE((*gator)->AddTupleBatch(0, orders, nullptr).ok());
-  ASSERT_TRUE((*gator)->AddTupleBatch(1, ships, nullptr).ok());
+  EXPECT_EQ(firings, 64);
 
   EXPECT_EQ(InterpreterEvalCalls() - before, 0u)
       << "a batched path fell back to the tree-walking interpreter";

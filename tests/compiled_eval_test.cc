@@ -8,7 +8,7 @@
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/expr.h"
-#include "network/gator.h"
+#include "network/atreat.h"
 #include "parser/parser.h"
 #include "predindex/predicate_index.h"
 
@@ -368,8 +368,8 @@ TEST(CompiledEvalFuzzTest, DifferentialAgainstInterpreter) {
 // --- Hot-path coverage -------------------------------------------------------
 
 // End-to-end proof that the per-token paths run on compiled programs: a
-// predicate-index match with a rest predicate, Gator join + catch-all
-// propagation, an execSQL scan filter, and a group-by having clause are
+// predicate-index match with a rest predicate, an A-TREAT join with a
+// catch-all conjunct, an execSQL scan filter, and a group-by having clause are
 // all driven while the interpreter call counter stands still. The
 // interpreter stays reachable only through the documented fallbacks.
 TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
@@ -388,7 +388,8 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
   spec.next_node = 0;
   ASSERT_TRUE(pindex.AddPredicate(spec).ok());
 
-  // Gator network with an extra non-equijoin conjunct and a catch-all.
+  // A-TREAT network over stored memories (stream sources) with an extra
+  // non-equijoin conjunct and a catch-all conjunct.
   std::vector<TupleVarInfo> vars = {
       {"o", "orders", 11, OpCode::kInsertOrUpdate},
       {"s", "shipments", 12, OpCode::kInsertOrUpdate},
@@ -397,12 +398,14 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
       Schema({{"oid", DataType::kInt}, {"cust", DataType::kInt}}),
       Schema({{"oid", DataType::kInt}, {"qty", DataType::kInt}}),
   };
-  auto cnf = ToCnf(Parse("o.oid = s.oid and o.cust < s.qty"));
+  auto cnf = ToCnf(Parse("o.oid = s.oid and o.cust < s.qty and 2 > 1"));
   ASSERT_TRUE(cnf.ok());
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
-  auto gator = GatorNetwork::Build(*graph, schemas);
-  ASSERT_TRUE(gator.ok());
+  ASSERT_EQ(graph->catch_all().size(), 1u);
+  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
+  ASSERT_TRUE(net.ok());
+  ASSERT_TRUE((*net)->node_stored(0) && (*net)->node_stored(1));
 
   // MiniDB table for the scan-filter leg (no index: forces the scan route).
   Database sqldb;
@@ -435,18 +438,16 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
     ASSERT_TRUE(pindex.Match(token, &out).ok());
   }
 
-  // 2. Gator propagation: equijoin probe + compiled residual conjunct.
+  // 2. A-TREAT maintenance and join: equijoin probe of a stored memory,
+  //    compiled residual and catch-all conjuncts.
   int firings = 0;
   auto count = [&firings](const std::vector<Tuple>&) { ++firings; };
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE((*gator)
-                    ->AddTuple(0, Tuple({Value::Int(i), Value::Int(1)}),
-                               count)
-                    .ok());
-    ASSERT_TRUE((*gator)
-                    ->AddTuple(1, Tuple({Value::Int(i), Value::Int(10)}),
-                               count)
-                    .ok());
+    for (NetworkNodeId node : {0, 1}) {
+      Tuple t({Value::Int(i), Value::Int(node == 0 ? 1 : 10)});
+      ASSERT_TRUE((*net)->AddTuple(node, t).ok());
+      ASSERT_TRUE((*net)->MatchJoins(node, t, count).ok());
+    }
   }
   EXPECT_EQ(firings, 5);
 

@@ -215,7 +215,7 @@ class ATreatTest : public ::testing::Test {
 TEST_F(ATreatTest, VirtualNodesForLocalTables) {
   auto graph = IrisGraph();
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   // All three sources are local tables -> virtual alpha nodes (A-TREAT).
   EXPECT_FALSE((*net)->node_stored(0));
@@ -226,7 +226,7 @@ TEST_F(ATreatTest, VirtualNodesForLocalTables) {
 TEST_F(ATreatTest, JoinFiresForMatchingHouse) {
   auto graph = IrisGraph();
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
 
   // New house in neighborhood 10 (Iris's): token arrives at node h (1).
@@ -272,7 +272,7 @@ TEST_F(ATreatTest, MultipleJoinCombinations) {
                    Value::Int(12), Value::Int(2)});
   auto graph = IrisGraph();
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   int firings = 0;
   ASSERT_TRUE((*net)
@@ -284,38 +284,6 @@ TEST_F(ATreatTest, MultipleJoinCombinations) {
   EXPECT_EQ(firings, 2);  // houses 1 and 2, not Sam's house 3
 }
 
-TEST_F(ATreatTest, StoredMemoriesWhenForced) {
-  ATreatOptions opts;
-  opts.prefer_virtual = false;
-  auto graph = IrisGraph();
-  ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), opts);
-  ASSERT_TRUE(net.ok());
-  EXPECT_TRUE((*net)->node_stored(0));
-  // Priming fills stored memories from the base tables with selection
-  // applied: only Iris qualifies at node s.
-  ASSERT_TRUE((*net)->Prime().ok());
-  EXPECT_EQ((*net)->memory_size(0), 1u);
-  EXPECT_EQ((*net)->memory_size(2), 3u);  // all represents rows
-
-  int firings = 0;
-  ASSERT_TRUE((*net)
-                  ->MatchJoins(1, House(100, "x", 1, 10, 1),
-                               [&](const std::vector<Tuple>&) { ++firings; })
-                  .ok());
-  EXPECT_EQ(firings, 1);
-
-  // Memory maintenance: drop the represents row for nno 10 and refire.
-  ASSERT_TRUE(
-      (*net)->RemoveTuple(2, Tuple({Value::Int(1), Value::Int(10)})).ok());
-  firings = 0;
-  ASSERT_TRUE((*net)
-                  ->MatchJoins(1, House(100, "x", 1, 10, 1),
-                               [&](const std::vector<Tuple>&) { ++firings; })
-                  .ok());
-  EXPECT_EQ(firings, 0);
-}
-
 TEST_F(ATreatTest, SingleVariableTriggerFiresDirectly) {
   std::vector<TupleVarInfo> vars = {
       {"h", "house", 2, OpCode::kInsert},
@@ -324,7 +292,7 @@ TEST_F(ATreatTest, SingleVariableTriggerFiresDirectly) {
   ASSERT_TRUE(cnf.ok());
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   int firings = 0;
   ASSERT_TRUE((*net)
@@ -350,7 +318,7 @@ TEST_F(ATreatTest, CatchAllConjunctFiltersFirings) {
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
   ASSERT_EQ(graph->catch_all().size(), 1u);
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   // House 100 in nno 10: s.spno(1) + r.nno(10) = 11 > hno must hold.
   int firings = 0;
@@ -367,6 +335,37 @@ TEST_F(ATreatTest, CatchAllConjunctFiltersFirings) {
   EXPECT_EQ(firings, 0);  // 11 > 50 fails
 }
 
+TEST_F(ATreatTest, JoinErrorSurfacesFromMatchJoins) {
+  // Stream sources (no database): stored memories. The second conjunct
+  // references both variables, so it is a join conjunct, and it divides
+  // by zero against every stored partner.
+  std::vector<TupleVarInfo> vars = {
+      {"a", "as", 21, OpCode::kInsertOrUpdate},
+      {"b", "bs", 22, OpCode::kInsertOrUpdate},
+  };
+  std::vector<Schema> schemas = {
+      Schema({{"k", DataType::kInt}}),
+      Schema({{"k", DataType::kInt}, {"d", DataType::kInt}}),
+  };
+  auto cnf = ToCnf(Parse("a.k = b.k and 10 / (b.d - a.k) > 0"));
+  ASSERT_TRUE(cnf.ok());
+  auto graph = ConditionGraph::Build(vars, *cnf);
+  ASSERT_TRUE(graph.ok());
+  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
+  ASSERT_TRUE(net.ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE((*net)->AddTuple(0, Tuple({Value::Int(1)})).ok());
+  }
+  Tuple arriving({Value::Int(1), Value::Int(1)});
+  ASSERT_TRUE((*net)->AddTuple(1, arriving).ok());
+  int firings = 0;
+  Status s = (*net)->MatchJoins(
+      1, arriving, [&](const std::vector<Tuple>&) { ++firings; });
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.message(), "integer division by zero");
+  EXPECT_EQ(firings, 0);
+}
+
 TEST_F(ATreatTest, DisconnectedVariableMakesCartesianProduct) {
   std::vector<TupleVarInfo> vars = {
       {"h", "house", 2, OpCode::kInsert},
@@ -374,7 +373,7 @@ TEST_F(ATreatTest, DisconnectedVariableMakesCartesianProduct) {
   };
   auto graph = ConditionGraph::Build(vars, {});  // no condition at all
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   int firings = 0;
   ASSERT_TRUE((*net)

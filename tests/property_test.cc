@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 
@@ -11,7 +12,6 @@
 #include "expr/rewrite.h"
 #include "expr/signature.h"
 #include "network/atreat.h"
-#include "network/gator.h"
 #include "parser/parser.h"
 #include "predindex/predicate_index.h"
 #include "util/random.h"
@@ -665,7 +665,7 @@ TEST(SharedRestProgramMigrationTest, AgreesAcrossMigrationAndAdaptiveSwap) {
 /// variable and, on arrival, brute-force enumeration of every combination
 /// (arriving tuple fixed at its variable) evaluated against the *whole*
 /// un-normalized condition. No networks, no CNF, no memo structures — if
-/// GATOR and A-TREAT disagree with this, they are wrong.
+/// A-TREAT disagrees with this, it is wrong.
 class NaiveJoinReference {
  public:
   NaiveJoinReference(ExprPtr condition, std::vector<std::string> var_names,
@@ -739,12 +739,16 @@ class NaiveJoinReference {
   std::vector<std::vector<Tuple>> live_;
 };
 
-TEST(NetworkPropertyTest, GatorAndATreatMatchNaiveReference) {
+TEST(NetworkPropertyTest, ATreatMatchesNaiveReference) {
   // Random trigger sets (join conditions over 2-3 tuple variables) and
-  // random token streams: both network types must fire exactly the
-  // bindings the naive evaluator derives, at every step. Conditions stay
-  // free of single-variable conjuncts — selection predicates belong to
-  // the predicate index, not the join networks (§5.1).
+  // random token streams: the network must fire exactly the bindings the
+  // naive evaluator derives, at every step. Each seed runs three ways:
+  // every variable a stream (stored alpha memories), then one or two
+  // variables backed by a MiniDB table (virtual alpha nodes), without and
+  // with an index on the equijoin attribute. The harness plays the
+  // predicate index: a tuple reaches its node (AddTuple, MatchJoins) only
+  // when it passes the node's selection, while a table holds every row
+  // and its virtual node filters on the fly.
   const std::vector<std::string> kNames = {"r", "s", "u"};
   const std::vector<Schema> kSchemas = {
       Schema({{"a", DataType::kInt}, {"b", DataType::kInt},
@@ -758,91 +762,142 @@ TEST(NetworkPropertyTest, GatorAndATreatMatchNaiveReference) {
       "r.b > s.c", "r.b + s.c < 40", "not (r.b = s.c)"};
   const std::vector<std::string> kThreeVarExtras = {
       "r.b > s.c", "s.c <= u.d", "r.b + u.d > 20", "not (s.c = u.d)"};
+  const std::vector<std::string> kSelections = {"r.b > 8", "s.c < 22",
+                                                "u.d <> 5"};
+  enum Mode { kStored, kVirtualScan, kVirtualIndexed };
 
   for (uint64_t seed = 1; seed <= 30; ++seed) {
     Random rng(seed * 6151 + 3);
     size_t num_vars = rng.Bernoulli(0.5) ? 2 : 3;
 
-    // Random trigger: equijoin chain on `a` plus random extra conjuncts.
+    // Random trigger: equijoin chain on `a` plus random extra conjuncts,
+    // and now and then a selection on one variable.
     std::string cond_text = "r.a = s.a";
     if (num_vars == 3) cond_text += " and s.a = u.a";
     const auto& extras = num_vars == 2 ? kTwoVarExtras : kThreeVarExtras;
     for (const std::string& extra : extras) {
       if (rng.Bernoulli(0.4)) cond_text += " and " + extra;
     }
-    ExprPtr condition = MustParseLocal(cond_text);
-    SCOPED_TRACE("condition: " + cond_text + "; reproducing seed: " +
-                 std::to_string(seed));
-
-    std::vector<TupleVarInfo> vars;
-    std::vector<Schema> schemas;
-    std::vector<std::string> names;
+    Random shape_rng(seed * 7919 + 5);
     for (size_t v = 0; v < num_vars; ++v) {
-      vars.push_back({kNames[v], "tbl_" + kNames[v],
-                      static_cast<DataSourceId>(21 + v),
-                      OpCode::kInsertOrUpdate});
-      schemas.push_back(kSchemas[v]);
-      names.push_back(kNames[v]);
+      if (shape_rng.Bernoulli(0.3)) cond_text += " and " + kSelections[v];
     }
-    auto cnf = ToCnf(condition);
-    ASSERT_TRUE(cnf.ok());
-    auto graph = ConditionGraph::Build(vars, *cnf);
-    ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-    auto gator = GatorNetwork::Build(*graph, schemas);
-    ASSERT_TRUE(gator.ok()) << gator.status().ToString();
-    ATreatOptions opts;
-    opts.prefer_virtual = false;  // stored memories: stream-style sources
-    auto atreat = ATreatNetwork::Build(*graph, nullptr, opts, schemas);
-    ASSERT_TRUE(atreat.ok()) << atreat.status().ToString();
+    ExprPtr condition = MustParseLocal(cond_text);
 
-    NaiveJoinReference reference(condition, names, schemas);
-    int serial = 0;  // unique per tuple: removal is unambiguous
-    for (int step = 0; step < 120; ++step) {
-      size_t var = rng.Uniform(num_vars);
-      bool add = reference.live(var).empty() || rng.Bernoulli(0.65);
-      if (add) {
-        Tuple t({Value::Int(rng.UniformRange(0, 5)),
-                 Value::Int(rng.UniformRange(0, 30)), Value::Int(serial++)});
-        std::multiset<std::string> expected = reference.Add(var, t);
-        if (::testing::Test::HasFatalFailure()) return;
-
-        std::multiset<std::string> gator_firings;
-        ASSERT_TRUE((*gator)
-                        ->AddTuple(static_cast<NetworkNodeId>(var), t,
-                                   [&](const std::vector<Tuple>& b) {
-                                     gator_firings.insert(
-                                         NaiveJoinReference::Encode(b));
-                                   })
-                        .ok());
-        ASSERT_EQ(gator_firings, expected) << "GATOR diverged at step "
-                                           << step;
-
-        std::multiset<std::string> atreat_firings;
-        ASSERT_TRUE(
-            (*atreat)->AddTuple(static_cast<NetworkNodeId>(var), t).ok());
-        ASSERT_TRUE((*atreat)
-                        ->MatchJoins(static_cast<NetworkNodeId>(var), t,
-                                     [&](const std::vector<Tuple>& b) {
-                                       atreat_firings.insert(
-                                           NaiveJoinReference::Encode(b));
-                                     })
-                        .ok());
-        ASSERT_EQ(atreat_firings, expected) << "A-TREAT diverged at step "
-                                            << step;
-      } else {
-        size_t pick = rng.Uniform(reference.live(var).size());
-        Tuple t = reference.live(var)[pick];
-        reference.Remove(var, t);
-        ASSERT_TRUE(
-            (*gator)->RemoveTuple(static_cast<NetworkNodeId>(var), t).ok());
-        ASSERT_TRUE(
-            (*atreat)->RemoveTuple(static_cast<NetworkNodeId>(var), t).ok());
+    std::vector<std::string> names(kNames.begin(), kNames.begin() + num_vars);
+    std::vector<Schema> schemas(kSchemas.begin(),
+                                kSchemas.begin() + num_vars);
+    // Which variables a table backs in the virtual modes: one or two.
+    std::vector<bool> table_backed(num_vars, false);
+    size_t num_tables = 1 + shape_rng.Uniform(2);
+    while (num_tables > 0) {
+      size_t v = shape_rng.Uniform(num_vars);
+      if (!table_backed[v]) {
+        table_backed[v] = true;
+        --num_tables;
       }
     }
-    // Alpha memories track the reference's live lists exactly.
-    for (size_t v = 0; v < num_vars; ++v) {
-      EXPECT_EQ((*gator)->alpha_size(static_cast<NetworkNodeId>(v)),
-                reference.live(v).size());
+
+    for (Mode mode : {kStored, kVirtualScan, kVirtualIndexed}) {
+      std::string tables;
+      for (size_t v = 0; v < num_vars; ++v) {
+        if (mode != kStored && table_backed[v]) tables += " " + names[v];
+      }
+      SCOPED_TRACE("condition: " + cond_text + "; mode " +
+                   std::to_string(mode) + "; tables:" + tables +
+                   "; reproducing seed: " + std::to_string(seed));
+
+      Database db;
+      std::vector<TupleVarInfo> vars;
+      std::vector<bool> is_table(num_vars, false);
+      for (size_t v = 0; v < num_vars; ++v) {
+        std::string source = "tbl_" + names[v];
+        vars.push_back({names[v], source, static_cast<DataSourceId>(21 + v),
+                        OpCode::kInsertOrUpdate});
+        if (mode == kStored || !table_backed[v]) continue;
+        is_table[v] = true;
+        ASSERT_TRUE(db.CreateTable(source, schemas[v]).ok());
+        if (mode == kVirtualIndexed) {
+          ASSERT_TRUE(db.CreateIndex("idx_" + names[v], source, {"a"}).ok());
+        }
+      }
+      auto cnf = ToCnf(condition);
+      ASSERT_TRUE(cnf.ok());
+      auto graph = ConditionGraph::Build(vars, *cnf);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      auto atreat = ATreatNetwork::Build(*graph, &db, schemas);
+      ASSERT_TRUE(atreat.ok()) << atreat.status().ToString();
+      for (size_t v = 0; v < num_vars; ++v) {
+        ASSERT_EQ((*atreat)->node_stored(static_cast<NetworkNodeId>(v)),
+                  !is_table[v]);
+      }
+      // What the predicate index would decide for a tuple at `var`.
+      auto passes_selection = [&](size_t var, const Tuple& t) {
+        ExprPtr selection = graph->nodes()[var].SelectionPredicate();
+        if (selection == nullptr) return true;
+        Bindings b;
+        b.Bind(names[var], &schemas[var], &t);
+        auto pass = EvalPredicate(selection, b);
+        EXPECT_TRUE(pass.ok()) << pass.status().ToString();
+        return pass.ok() && *pass;
+      };
+
+      NaiveJoinReference reference(condition, names, schemas);
+      std::map<int64_t, Rid> rids;  // table rows by serial
+      Random steps(seed * 104729 + mode);
+      int serial = 0;  // unique per tuple: removal is unambiguous
+      for (int step = 0; step < 120; ++step) {
+        size_t var = steps.Uniform(num_vars);
+        const NetworkNodeId node = static_cast<NetworkNodeId>(var);
+        bool add = reference.live(var).empty() || steps.Bernoulli(0.65);
+        if (add) {
+          Tuple t({Value::Int(steps.UniformRange(0, 5)),
+                   Value::Int(steps.UniformRange(0, 30)),
+                   Value::Int(serial++)});
+          std::multiset<std::string> expected = reference.Add(var, t);
+          if (::testing::Test::HasFatalFailure()) return;
+          if (is_table[var]) {
+            auto rid = db.Insert(vars[var].source_name, t);
+            ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+            rids[t.at(2).as_int()] = *rid;
+          }
+          std::multiset<std::string> firings;
+          if (passes_selection(var, t)) {
+            ASSERT_TRUE((*atreat)->AddTuple(node, t).ok());
+            ASSERT_TRUE((*atreat)
+                            ->MatchJoins(node, t,
+                                         [&](const std::vector<Tuple>& b) {
+                                           firings.insert(
+                                               NaiveJoinReference::Encode(b));
+                                         })
+                            .ok());
+          }
+          ASSERT_EQ(firings, expected) << "A-TREAT diverged at step " << step;
+        } else {
+          size_t pick = steps.Uniform(reference.live(var).size());
+          Tuple t = reference.live(var)[pick];
+          reference.Remove(var, t);
+          if (is_table[var]) {
+            auto it = rids.find(t.at(2).as_int());
+            ASSERT_NE(it, rids.end());
+            ASSERT_TRUE(db.Delete(vars[var].source_name, it->second).ok());
+            rids.erase(it);
+          }
+          if (passes_selection(var, t)) {
+            ASSERT_TRUE((*atreat)->RemoveTuple(node, t).ok());
+          }
+        }
+      }
+      // Stored memories hold exactly the live tuples that pass their
+      // node's selection; virtual nodes hold nothing.
+      for (size_t v = 0; v < num_vars; ++v) {
+        size_t passing = 0;
+        for (const Tuple& t : reference.live(v)) {
+          if (passes_selection(v, t)) ++passing;
+        }
+        EXPECT_EQ((*atreat)->memory_size(static_cast<NetworkNodeId>(v)),
+                  is_table[v] ? 0u : passing);
+      }
     }
   }
 }

@@ -504,6 +504,64 @@ TEST_F(TriggerManagerTest, CacheEvictionReloadsDuringFiring) {
   EXPECT_GT(tman_->cache().stats().misses, 0u);
 }
 
+TEST_F(TriggerManagerTest, LocalTableJoinTokensPinEachTriggerOnce) {
+  // The fixture of CacheEvictionReloadsDuringFiring. Both join sides are
+  // local tables, so both alpha nodes are virtual and keep no memory:
+  // maintenance has nothing to update and must not pin. The fire pass is
+  // the only cache lookup of each trigger a token reaches.
+  TriggerManagerOptions options;
+  options.trigger_cache_capacity = 2;
+  Reset(options);
+  CreateDeptTable();
+  for (int64_t d = 0; d < 8; ++d) InsertDept(d, 100 + d);
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  auto lookups = [&] {
+    TriggerCacheStats st = tman_->cache().stats();
+    return st.hits + st.misses;
+  };
+  auto create = [&](int i) {
+    Exec("create trigger t" + std::to_string(i) +
+         " from emp e, dept d on insert to e when e.dept = d.id and d.id = " +
+         std::to_string(i) + " do raise event E" + std::to_string(i) +
+         "(e.name, d.floor)");
+  };
+
+  create(0);
+  uint64_t before = lookups();
+  InsertEmp("x", 1, 0);
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  EXPECT_EQ(lookups() - before, 1u);
+  ASSERT_EQ(tman_->events().num_raised(), 1u);
+
+  // Every emp token reaches all eight triggers at node e (e has no
+  // selection); each fires only for its own dept.
+  for (int i = 1; i < 8; ++i) create(i);
+  for (int64_t d = 0; d < 8; ++d) {
+    before = lookups();
+    InsertEmp("y", 1, d);
+    ASSERT_TRUE(tman_->ProcessPending().ok());
+    EXPECT_EQ(lookups() - before, 8u) << "dept " << d;
+  }
+  // An aggregate on emp makes emp tokens run the maintenance pass. It
+  // pins the aggregate, and still none of the joins.
+  Exec("create trigger crowded from emp group by emp.dept "
+       "having count(emp.name) >= 100 do raise event Crowded(emp.dept)");
+  before = lookups();
+  InsertEmp("z", 1, 0);
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  EXPECT_EQ(lookups() - before, 9u);
+  std::multiset<std::string> fired, expected = {"E0 x 100", "E0 z 100"};
+  for (const Event& e : tman_->events().History()) {
+    fired.insert(e.name + " " + e.args[0].as_string() + " " +
+                 std::to_string(e.args[1].as_int()));
+  }
+  for (int64_t d = 0; d < 8; ++d) {
+    expected.insert("E" + std::to_string(d) + " y " + std::to_string(100 + d));
+  }
+  EXPECT_EQ(fired, expected);
+  EXPECT_GT(tman_->cache().stats().evictions, 0u);
+}
+
 TEST_F(TriggerManagerTest, AggregateStateSurvivesCacheEviction) {
   TriggerManagerOptions options;
   options.trigger_cache_capacity = 1;  // every token evicts
