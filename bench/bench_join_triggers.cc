@@ -5,7 +5,12 @@
 // not to the installed population. Triggers with an unselective event
 // node (every token reaches every network) show the contrast — §7's
 // design advice exists precisely because of that case.
+// BM_StreamJoinMaintenance covers stored (stream) alpha memories.
 
+#include <malloc.h>
+
+#include <chrono>
+#include <deque>
 #include <map>
 #include <memory>
 
@@ -150,6 +155,120 @@ BENCHMARK(BM_NonMatchingToken)
     ->Arg(10)
     ->Arg(1000)
     ->Arg(5000)
+    ->Unit(benchmark::kMicrosecond);
+
+// Stream-join maintenance: N two-stream join triggers shaped like
+// perfbench durable_mixed's (`r.k = s.k and r.cat = a and s.cat = b`
+// over 12 categories per side) see an insert/delete stream that holds
+// each source's live rows steady. Every token updates the stored alpha
+// memory of its row's selection, which the engine keeps once per
+// distinct selection however many triggers share it (24 memories for
+// any N >= 144), and runs the fire pass of the triggers whose selection
+// it passes (rarely a join partner: keys are spread wide).
+constexpr int kCategories = 12;
+constexpr int kLiveRows = 512;  // per source
+constexpr int kStreamBatch = 64;
+
+/// Heap bytes in use (glibc arena plus mmap'd blocks).
+double HeapInUse() {
+  struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks + mi.hblkhd);
+}
+
+struct StreamJoins {
+  Database db;
+  std::unique_ptr<TriggerManager> tman;
+  DataSourceId sources[2] = {0, 0};
+  std::deque<Tuple> live[2];
+  Random rng{41};
+  int64_t next_id = 1;
+  double heap_bytes_per_trigger = 0;
+
+  explicit StreamJoins(int num_triggers) {
+    TriggerManagerOptions options;
+    options.persistent_queue = false;
+    tman = std::make_unique<TriggerManager>(&db, options);
+    Check(tman->Open(), "open");
+    Schema schema({{"id", DataType::kInt},
+                   {"k", DataType::kInt},
+                   {"cat", DataType::kInt},
+                   {"v", DataType::kInt}});
+    sources[0] = Check(tman->DefineStreamSource("orders", schema), "orders");
+    sources[1] = Check(tman->DefineStreamSource("fills", schema), "fills");
+    // Heap over install plus the preloaded live rows: the trigger
+    // descriptions, plans and predicates, and the stored memories.
+    const double heap_before = HeapInUse();
+    for (int i = 0; i < num_triggers; ++i) {
+      std::string cond = "r.k = s.k and r.cat = " +
+                         std::to_string(i % kCategories) + " and s.cat = " +
+                         std::to_string((i / kCategories) % kCategories);
+      Check(tman->ExecuteCommand("create trigger j" + std::to_string(i) +
+                                 " from orders r, fills s when " + cond +
+                                 " do raise event J(r.id, s.id)")
+                .status(),
+            "create trigger");
+    }
+    std::vector<UpdateDescriptor> preload;
+    for (int side = 0; side < 2; ++side) {
+      for (int i = 0; i < kLiveRows; ++i) preload.push_back(NewRow(side));
+    }
+    Check(tman->SubmitUpdateBatch(preload), "preload");
+    Check(tman->ProcessPending(), "drain");
+    heap_bytes_per_trigger = (HeapInUse() - heap_before) / num_triggers;
+  }
+
+  UpdateDescriptor NewRow(int side) {
+    Tuple row({Value::Int(next_id++),
+               Value::Int(static_cast<int64_t>(rng.Uniform(1u << 20))),
+               Value::Int(static_cast<int64_t>(rng.Uniform(kCategories))),
+               Value::Int(static_cast<int64_t>(rng.Uniform(100)))});
+    live[side].push_back(row);
+    return UpdateDescriptor::Insert(sources[side], std::move(row));
+  }
+
+  /// One stream batch: on a random source each time, an insert of a new
+  /// row and a delete of the oldest live row.
+  std::vector<UpdateDescriptor> NextBatch() {
+    std::vector<UpdateDescriptor> batch;
+    while (batch.size() < kStreamBatch) {
+      int side = static_cast<int>(rng.Uniform(2));
+      batch.push_back(NewRow(side));
+      batch.push_back(
+          UpdateDescriptor::Delete(sources[side], live[side].front()));
+      live[side].pop_front();
+    }
+    return batch;
+  }
+};
+
+void BM_StreamJoinMaintenance(benchmark::State& state) {
+  const int num_triggers = static_cast<int>(state.range(0));
+  StreamJoins fx(num_triggers);
+  uint64_t tokens = 0;
+  std::chrono::nanoseconds spent{0};
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<UpdateDescriptor> batch = fx.NextBatch();
+    state.ResumeTiming();
+    auto start = std::chrono::steady_clock::now();
+    Check(fx.tman->SubmitUpdateBatch(batch), "submit");
+    Check(fx.tman->ProcessPending(), "process");
+    spent += std::chrono::steady_clock::now() - start;
+    tokens += batch.size();
+  }
+  TriggerManagerStats st = fx.tman->stats();
+  state.counters["join_triggers"] = static_cast<double>(num_triggers);
+  state.counters["ns_per_token"] =
+      tokens == 0 ? 0.0
+                  : static_cast<double>(spent.count()) /
+                        static_cast<double>(tokens);
+  state.counters["alpha_memories"] = static_cast<double>(st.alpha.memories);
+  state.counters["heap_bytes_per_trigger"] = fx.heap_bytes_per_trigger;
+}
+BENCHMARK(BM_StreamJoinMaintenance)
+    ->Arg(24)
+    ->Arg(200)
+    ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -85,7 +85,7 @@ Status FiringPlan::EvalArgs(const ActionContext& ctx,
 }
 
 std::shared_ptr<const FiringPlan> ActionTemplates::MakePlan(
-    const TriggerRuntime& trigger) {
+    const TriggerRuntime& trigger, std::unique_ptr<TriggerState> state) {
   auto plan = std::make_shared<FiringPlan>();
   plan->name = trigger.name;
   plan->network =
@@ -98,28 +98,26 @@ std::shared_ptr<const FiringPlan> ActionTemplates::MakePlan(
   for (size_t i = 0; i < nodes.size(); ++i) {
     action->vars.push_back({nodes[i].info.var, nodes[i].info.source_name,
                             trigger.network->node_schema(i)});
-    if (trigger.network->node_stored(i)) {
-      plan->maintained_sources.push_back(nodes[i].info.source_id);
-    }
   }
-  if (trigger.aggregate != nullptr) {
-    plan->maintained_sources.push_back(nodes[0].info.source_id);
-  }
+  const GroupByEvaluator* aggregate =
+      state == nullptr ? nullptr : state->aggregate.get();
   if (spec.kind == ActionKind::kExecSql) {
     action->sql = spec.sql;
   } else {
     action->event_name = spec.event_name;
     const std::vector<ExprPtr>* args = &spec.event_args;
-    if (trigger.aggregate != nullptr) {
-      args = &trigger.aggregate->action_arg_templates();
+    if (aggregate != nullptr) {
+      args = &aggregate->action_arg_templates();
       plan->num_aggregates =
-          static_cast<uint32_t>(trigger.aggregate->num_aggregates());
+          static_cast<uint32_t>(aggregate->num_aggregates());
     }
     for (const ExprPtr& arg : *args) {
       action->args.push_back(GeneralizeLiterals(
           arg, static_cast<int>(plan->num_aggregates), &plan->constants));
     }
   }
+
+  plan->state = std::move(state);
 
   const uint64_t hash = SignatureHash(*action);
   std::lock_guard<std::mutex> lock(mutex_);

@@ -1,7 +1,6 @@
 #ifndef TRIGGERMAN_CORE_FIRING_PLAN_H_
 #define TRIGGERMAN_CORE_FIRING_PLAN_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "expr/compile.h"
+#include "network/alpha_memory.h"
 #include "parser/ast.h"
 #include "predindex/predicate_entry.h"
 #include "types/schema.h"
@@ -17,6 +17,7 @@
 
 namespace tman {
 
+class GroupByEvaluator;
 struct TriggerRuntime;
 
 /// One firing as its action sees it. A view: every pointer must outlive
@@ -69,6 +70,28 @@ struct ActionTemplate {
                         const std::vector<Value>& params) const;
 };
 
+/// The state a trigger's tokens change, held by its firing plan so the
+/// maintenance pass reaches it without the trigger cache (§5.4): one
+/// shared stored alpha memory per stored node of a join, or the group-by
+/// state of an aggregate. Both outlive cache eviction; a reopen starts
+/// them empty.
+struct TriggerState {
+  /// Aligned with the condition-graph nodes; a virtual node's memory is
+  /// null.
+  std::vector<AlphaMemoryRef> memories;
+  std::shared_ptr<GroupByEvaluator> aggregate;
+  /// The sources whose tokens change this state: one entry per stored
+  /// node, plus an aggregate's source. Each counts toward
+  /// TriggerDirectory::NeedsMaintenance while the trigger is installed.
+  std::vector<DataSourceId> sources;
+
+  /// The memory that tokens matched at `node` maintain; null for a
+  /// virtual node.
+  AlphaMemory* memory(NetworkNodeId node) const {
+    return node < memories.size() ? memories[node].memory.get() : nullptr;
+  }
+};
+
 /// What a trigger needs to fire once the predicate index has matched it
 /// (§5.4): resident for the trigger's lifetime, immutable, and published
 /// in its TriggerDirectory slot, so the fire pass reads it without a lock
@@ -76,12 +99,10 @@ struct ActionTemplate {
 struct FiringPlan : std::enable_shared_from_this<FiringPlan> {
   std::string name;  // lowercase
   std::shared_ptr<const ActionTemplate> action;
-  /// The data sources whose tokens change this trigger's state: one entry
-  /// per stored alpha memory (a stream variable of a join; a variable over
-  /// a local table is a virtual node and keeps nothing), plus an
-  /// aggregate's source. Each entry counts toward
-  /// TriggerDirectory::NeedsMaintenance while the trigger is installed.
-  std::vector<DataSourceId> maintained_sources;
+  /// What this trigger's tokens change: its shared stored memories or its
+  /// aggregate state. Null for a trigger that keeps none (a selection
+  /// trigger, or joins over local tables only).
+  std::unique_ptr<const TriggerState> state;
   /// Aggregate values a firing supplies ahead of `constants`.
   uint32_t num_aggregates = 0;
   /// True when a firing needs the trigger's A-TREAT network: join
@@ -91,14 +112,6 @@ struct FiringPlan : std::enable_shared_from_this<FiringPlan> {
   bool network = false;
   /// This trigger's constants of the action signature.
   std::vector<Value> constants;
-
-  /// True when tokens of `source` change this trigger's state. Whether a
-  /// source is a local table decides whether its nodes are virtual, so a
-  /// stored node is never on the same source as a virtual one.
-  bool Maintains(DataSourceId source) const {
-    return std::find(maintained_sources.begin(), maintained_sources.end(),
-                     source) != maintained_sources.end();
-  }
 
   /// Evaluates every `raise event` argument in order; the first error
   /// stops it.
@@ -110,9 +123,11 @@ struct FiringPlan : std::enable_shared_from_this<FiringPlan> {
 /// arguments, and the binding layout. Thread-safe.
 class ActionTemplates {
  public:
-  /// The plan of an installed trigger. An aggregate's argument templates
-  /// come from its group-by evaluator.
-  std::shared_ptr<const FiringPlan> MakePlan(const TriggerRuntime& trigger);
+  /// The plan of an installed trigger, holding `state` (may be null). An
+  /// aggregate's argument templates come from its group-by evaluator.
+  std::shared_ptr<const FiringPlan> MakePlan(
+      const TriggerRuntime& trigger,
+      std::unique_ptr<TriggerState> state = nullptr);
 
   /// Templates some live plan still uses.
   size_t size() const;

@@ -12,13 +12,11 @@
 
 namespace tman {
 
-class GroupByEvaluator;
-
 /// The complete description of one trigger as kept in the trigger cache
 /// (§5.1): identity, parsed syntax tree, condition graph, A-TREAT network
 /// skeleton, and the action. Instances are shared immutably through
-/// TriggerHandle (the pin); alpha memories inside the network are
-/// internally synchronized so concurrent token processing is safe.
+/// TriggerHandle (the pin). The network's stored memories belong to the
+/// engine and the trigger's firing plan, so a reload re-attaches them.
 struct TriggerRuntime {
   TriggerId id = 0;
   uint64_t ts_id = 0;
@@ -31,11 +29,6 @@ struct TriggerRuntime {
   /// exprIDs of the selection predicates registered in the predicate
   /// index for this trigger (used by drop trigger).
   std::vector<ExprId> expr_ids;
-
-  /// Group-by state of an aggregate trigger (null otherwise). Shared with
-  /// every reload of this trigger, so cache eviction cannot drop group
-  /// counters; the evaluator is internally synchronized.
-  std::shared_ptr<GroupByEvaluator> aggregate;
 
   bool multi_variable() const { return graph.nodes().size() > 1; }
 };

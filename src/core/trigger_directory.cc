@@ -21,11 +21,11 @@ Status TriggerDirectory::Install(TriggerId id, uint64_t ts_id, uint32_t kind,
   if (id >= kCapacity) return OutOfRange("trigger", id);
   if (ts_id >= kCapacity) return OutOfRange("trigger set", ts_id);
   kind &= kAggregate;
-  if (plan != nullptr) {
-    for (DataSourceId source : plan->maintained_sources) {
+  if (plan != nullptr && plan->state != nullptr) {
+    for (DataSourceId source : plan->state->sources) {
       if (source >= kCapacity) return OutOfRange("data source", source);
     }
-    for (DataSourceId source : plan->maintained_sources) {
+    for (DataSourceId source : plan->state->sources) {
       maintained_.Ensure(source)->fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -43,8 +43,8 @@ uint32_t TriggerDirectory::Remove(TriggerId id,
   if (slot == nullptr) return 0;
   uint32_t flags = slot->flags.exchange(0, std::memory_order_acq_rel);
   slot->plan.store(nullptr, std::memory_order_release);
-  if (slot->owner != nullptr) {
-    for (DataSourceId source : slot->owner->maintained_sources) {
+  if (slot->owner != nullptr && slot->owner->state != nullptr) {
+    for (DataSourceId source : slot->owner->state->sources) {
       std::atomic<uint32_t>* count = maintained_.FindMutable(source);
       uint32_t n = count->load(std::memory_order_relaxed);
       if (n > 0) count->store(n - 1, std::memory_order_relaxed);

@@ -88,8 +88,8 @@ class TriggerDirectory {
   // --- writers (serialized by the caller) -----------------------------------
 
   /// Publishes a live, enabled trigger and its firing plan. `kind` is
-  /// kAggregate or 0; each entry of the plan's `maintained_sources`
-  /// counts once toward NeedsMaintenance. Changes nothing when an id is
+  /// kAggregate or 0; each entry of the plan's state `sources` counts
+  /// once toward NeedsMaintenance. Changes nothing when an id is
   /// out of range.
   Status Install(TriggerId id, uint64_t ts_id, uint32_t kind,
                  std::shared_ptr<const FiringPlan> plan = nullptr);

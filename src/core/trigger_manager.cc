@@ -1,6 +1,8 @@
 #include "core/trigger_manager.h"
 
 #include <algorithm>
+#include <array>
+#include <unordered_set>
 
 #include "expr/rewrite.h"
 #include "parser/parser.h"
@@ -180,7 +182,8 @@ Result<DataSourceId> TriggerManager::DefineStreamSource(
 // ---------------------------------------------------------------------------
 
 Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
-    const CreateTriggerCmd& cmd, TriggerId trigger_id, uint64_t ts_id) {
+    const CreateTriggerCmd& cmd, TriggerId trigger_id, uint64_t ts_id,
+    std::vector<Schema>* schemas_out) {
   if ((!cmd.group_by.empty() || cmd.having != nullptr) &&
       cmd.from.size() != 1) {
     return Status::NotSupported(
@@ -299,7 +302,6 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   TMAN_ASSIGN_OR_RETURN(ConditionGraph graph,
                         ConditionGraph::Build(vars, cnf));
 
-  // Step 4: A-TREAT network.
   auto runtime = std::make_shared<TriggerRuntime>();
   runtime->id = trigger_id;
   runtime->ts_id = ts_id;
@@ -318,23 +320,43 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   for (ExprPtr& arg : runtime->cmd.action.event_args) {
     TMAN_ASSIGN_OR_RETURN(arg, QualifyColumnRefs(arg, resolver, validator));
   }
-  TMAN_ASSIGN_OR_RETURN(
-      runtime->network,
-      ATreatNetwork::Build(runtime->graph, db_, schemas));
+  *schemas_out = std::move(schemas);
   return runtime;
+}
+
+void TriggerManager::DetachMemories(const TriggerState* state) {
+  if (state == nullptr) return;
+  for (const AlphaMemoryRef& ref : state->memories) {
+    if (ref.memory != nullptr) alpha_memories_.Detach(ref);
+  }
 }
 
 Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
                                       TriggerId trigger_id, uint64_t ts_id,
                                       bool catalog_write) {
+  std::vector<Schema> schemas;
   TMAN_ASSIGN_OR_RETURN(std::shared_ptr<TriggerRuntime> runtime,
-                        BuildRuntime(cmd, trigger_id, ts_id));
+                        BuildRuntime(cmd, trigger_id, ts_id, &schemas));
+  const std::vector<ConditionGraph::Node>& nodes = runtime->graph.nodes();
+  auto state = std::make_unique<TriggerState>();
+  if (runtime->multi_variable()) state->memories.resize(nodes.size());
+  const uint32_t parts = std::max(1u, options_.condition_partitions);
+
+  // Undoes what this install registered so far.
+  std::vector<ExprId> expr_ids;
+  auto fail = [&](Status s) {
+    for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
+    DetachMemories(state.get());
+    return s;
+  };
 
   // Step 5: register each node's selection predicate in the predicate
-  // index, creating signatures/constant tables as needed.
-  std::vector<ExprId> expr_ids;
-  for (size_t i = 0; i < runtime->graph.nodes().size(); ++i) {
-    const ConditionGraph::Node& node = runtime->graph.nodes()[i];
+  // index, creating signatures/constant tables as needed. A stored node
+  // attaches to the shared memory of its selection: the identity
+  // AddPredicate returns, within the condition partition that will
+  // match the predicate.
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const ConditionGraph::Node& node = nodes[i];
     PredicateSpec spec;
     spec.data_source = node.info.source_id;
     spec.op = node.info.event;
@@ -346,13 +368,16 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
     spec.trigger_id = trigger_id;
     spec.next_node = static_cast<NetworkNodeId>(i);
     auto added = pindex_->AddPredicate(spec);
-    if (!added.ok()) {
-      // Roll back predicates registered so far.
-      for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
-      return added.status();
-    }
+    if (!added.ok()) return fail(added.status());
     expr_ids.push_back(added->expr_id);
+    if (ATreatNetwork::NodeStored(runtime->graph, db_, i)) {
+      state->memories[i] = alpha_memories_.Attach(
+          {spec.data_source, added->sig_id,
+           PartitionOf(added->expr_id, parts), added->constants});
+      state->sources.push_back(spec.data_source);
+    }
     if (catalog_write) {
+      Status s;
       if (added->new_signature) {
         SignatureRow row;
         row.sig_id = added->sig_id;
@@ -364,54 +389,56 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
                 : "const_table_" + std::to_string(added->sig_id);
         row.constant_set_size = added->class_size;
         row.constant_set_organization = added->org;
-        TMAN_RETURN_IF_ERROR(catalog_->InsertSignature(row));
+        s = catalog_->InsertSignature(row);
       } else {
-        TMAN_RETURN_IF_ERROR(catalog_->UpdateSignatureStats(
-            added->sig_id, added->class_size, added->org));
+        s = catalog_->UpdateSignatureStats(added->sig_id, added->class_size,
+                                           added->org);
       }
+      if (!s.ok()) return fail(s);
     }
   }
   runtime->expr_ids = expr_ids;
 
-  // Aggregate triggers: create the group-by evaluator (it outlives cache
-  // eviction through aggregates_; reset on reopen — the paper leaves
-  // durable aggregate state as future work).
+  // Step 4: the A-TREAT network over those memories.
+  auto network =
+      ATreatNetwork::Build(runtime->graph, db_, schemas, state->memories);
+  if (!network.ok()) return fail(network.status());
+  runtime->network = std::move(*network);
+
+  // Aggregate triggers: the group-by evaluator lives in the plan beside
+  // any memories (reset on reopen — the paper leaves durable aggregate
+  // state as future work).
   if (!runtime->cmd.group_by.empty()) {
     auto ev = GroupByEvaluator::Create(
-        runtime->graph.nodes()[0].info.var,
-        runtime->network->node_schema(0), runtime->cmd.group_by,
+        nodes[0].info.var, schemas[0], runtime->cmd.group_by,
         runtime->cmd.having, runtime->cmd.action.event_args);
-    if (!ev.ok()) {
-      for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
-      return ev.status();
-    }
-    runtime->aggregate = std::move(*ev);
+    if (!ev.ok()) return fail(ev.status());
+    state->aggregate = std::move(*ev);
+    state->sources.push_back(nodes[0].info.source_id);
   }
 
-  const bool stateful =
-      runtime->multi_variable() || runtime->aggregate != nullptr;
-  std::shared_ptr<const FiringPlan> plan = action_templates_.MakePlan(*runtime);
+  const bool aggregate = state->aggregate != nullptr;
+  if (state->sources.empty()) state.reset();  // nothing to maintain
+  std::shared_ptr<const FiringPlan> plan =
+      action_templates_.MakePlan(*runtime, std::move(state));
+  const bool pinned = plan->network;
   {
     std::unique_lock lock(meta_mutex_);
     Status s = directory_.Install(
-        trigger_id, ts_id,
-        runtime->aggregate != nullptr ? TriggerDirectory::kAggregate : 0,
-        std::move(plan));
+        trigger_id, ts_id, aggregate ? TriggerDirectory::kAggregate : 0, plan);
     if (!s.ok()) {
       for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
+      DetachMemories(plan->state.get());
       return s;
     }
     trigger_by_name_[runtime->name] = trigger_id;
     // Remember the expr ids for drop trigger even after cache eviction.
     expr_ids_by_trigger_[trigger_id] = std::move(expr_ids);
-    if (runtime->aggregate != nullptr) {
-      aggregates_[trigger_id] = runtime->aggregate;
-    }
   }
 
-  // Join memories and aggregate state live in the runtime, so the cache
-  // keeps it; a selection trigger fires from its plan alone.
-  if (stateful) cache_->Put(trigger_id, TriggerHandle(runtime));
+  // Only a firing through the join network pins the runtime; selection
+  // and aggregate triggers fire from their plans.
+  if (pinned) cache_->Put(trigger_id, TriggerHandle(runtime));
   return Status::OK();
 }
 
@@ -456,7 +483,6 @@ Status TriggerManager::DropTrigger(const std::string& name) {
     }
     trigger_by_name_.erase(it);
     directory_.Remove(id, &plan);
-    aggregates_.erase(id);
   }
   for (ExprId eid : expr_ids) {
     Status s = pindex_->RemovePredicate(eid);
@@ -465,6 +491,7 @@ Status TriggerManager::DropTrigger(const std::string& name) {
                       << s.ToString();
     }
   }
+  if (plan != nullptr) DetachMemories(plan->state.get());
   cache_->Invalidate(id);
   return catalog_->DeleteTrigger(lname);
 }
@@ -711,6 +738,34 @@ AdaptRoundReport TriggerManager::RunAdaptationRound() {
 
 void TriggerManager::Drain() { task_queue_.WaitIdle(); }
 
+namespace {
+
+/// The shared memories one tuple's maintenance already updated: every
+/// trigger with a selection matches it, but their memory changes once.
+/// A short inline list scanned in place, then a set once it fills.
+class UpdatedMemories {
+ public:
+  /// True the first time `memory` is seen.
+  bool Insert(const AlphaMemory* memory) {
+    if (size_ < kScan) {
+      const AlphaMemory** end = list_.data() + size_;
+      if (std::find(list_.data(), end, memory) != end) return false;
+      list_[size_++] = memory;
+      if (size_ == kScan) set_.insert(list_.begin(), list_.end());
+      return true;
+    }
+    return set_.insert(memory).second;
+  }
+
+ private:
+  static constexpr size_t kScan = 16;
+  std::array<const AlphaMemory*, kScan> list_;
+  size_t size_ = 0;
+  std::unordered_set<const AlphaMemory*> set_;
+};
+
+}  // namespace
+
 Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
                                      uint32_t partition,
                                      uint32_t num_partitions) {
@@ -718,56 +773,51 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
   // stored alpha memories of multi-variable triggers, or aggregate
   // groups). Matching here ignores event opcodes — state must track the
   // selection result regardless of which events fire the trigger. A
-  // virtual node keeps nothing, so its matches pin nothing here.
-  if (directory_.NeedsMaintenance(token.data_source)) {
-    auto maintain = [&](const Tuple& tuple, bool add) -> Status {
-      Status inner = Status::OK();
-      TMAN_RETURN_IF_ERROR(pindex_->MatchMaintenance(
-          token.data_source, tuple, partition, num_partitions,
-          [&](const PredicateMatch& m) {
-            if (!inner.ok()) return;
-            // Read under the match's stripe lock (TriggerDirectory::Plan).
-            const FiringPlan* plan = directory_.Plan(m.trigger_id);
-            if (plan == nullptr || !plan->Maintains(token.data_source)) {
+  // virtual node keeps nothing. Each shared memory belongs to one
+  // condition partition (its key), so exactly one partition task of the
+  // token updates it.
+  if (!directory_.NeedsMaintenance(token.data_source)) return Status::OK();
+  auto maintain = [&](const Tuple& tuple, bool add) -> Status {
+    Status inner = Status::OK();
+    UpdatedMemories updated;
+    TMAN_RETURN_IF_ERROR(pindex_->MatchMaintenance(
+        token.data_source, tuple, partition, num_partitions,
+        [&](const PredicateMatch& m) {
+          if (!inner.ok()) return;
+          // Read under the match's stripe lock (TriggerDirectory::Plan),
+          // which keeps the plan and its state alive.
+          const FiringPlan* plan = directory_.Plan(m.trigger_id);
+          if (plan == nullptr || plan->state == nullptr) return;
+          const TriggerState& state = *plan->state;
+          if (state.aggregate != nullptr) {
+            // A disabled aggregate's groups stay frozen.
+            if ((directory_.Flags(m.trigger_id) &
+                 TriggerDirectory::kEnabled) == 0) {
               return;
             }
-            const uint32_t flags = directory_.Flags(m.trigger_id);
-            const bool is_aggregate =
-                (flags & TriggerDirectory::kAggregate) != 0;
-            // Join memories track the selection even while the trigger is
-            // disabled; a disabled aggregate's groups stay frozen.
-            if (is_aggregate && (flags & TriggerDirectory::kEnabled) == 0) {
-              return;
-            }
-            auto pinned = cache_->Pin(m.trigger_id);
-            if (!pinned.ok()) {
-              inner = pinned.status();
-              return;
-            }
-            if (is_aggregate) {
-              if ((*pinned)->aggregate != nullptr) {
-                Status s = RunAggregateDelta(*plan, *pinned, token, tuple,
-                                             add, m.next_node);
-                if (!s.ok()) inner = s;
-              }
-              return;
-            }
-            Status s = add
-                           ? (*pinned)->network->AddTuple(m.next_node, tuple)
-                           : (*pinned)->network->RemoveTuple(m.next_node,
-                                                             tuple);
+            Status s = RunAggregateDelta(*plan, token, tuple, add, m.next_node);
             if (!s.ok()) inner = s;
-          }));
-      return inner;
-    };
-    if (token.old_tuple.has_value() &&
-        (token.op == OpCode::kDelete || token.op == OpCode::kUpdate)) {
-      TMAN_RETURN_IF_ERROR(maintain(*token.old_tuple, /*add=*/false));
-    }
-    if (token.new_tuple.has_value() &&
-        (token.op == OpCode::kInsert || token.op == OpCode::kUpdate)) {
-      TMAN_RETURN_IF_ERROR(maintain(*token.new_tuple, /*add=*/true));
-    }
+            return;
+          }
+          // Join memories track the selection even while the trigger is
+          // disabled.
+          AlphaMemory* memory = state.memory(m.next_node);
+          if (memory == nullptr || !updated.Insert(memory)) return;
+          if (add) {
+            memory->Insert(tuple);
+          } else {
+            memory->Remove(tuple);
+          }
+        }));
+    return inner;
+  };
+  if (token.old_tuple.has_value() &&
+      (token.op == OpCode::kDelete || token.op == OpCode::kUpdate)) {
+    TMAN_RETURN_IF_ERROR(maintain(*token.old_tuple, /*add=*/false));
+  }
+  if (token.new_tuple.has_value() &&
+      (token.op == OpCode::kInsert || token.op == OpCode::kUpdate)) {
+    TMAN_RETURN_IF_ERROR(maintain(*token.new_tuple, /*add=*/true));
   }
   return Status::OK();
 }
@@ -883,16 +933,24 @@ Status TriggerManager::RunFiring(const PredicateMatch& match,
     return Status::OK();
   }
   TMAN_ASSIGN_OR_RETURN(TriggerHandle trigger, cache_->Pin(match.trigger_id));
-  StageTimer fire_timer(&stage_metrics_, Stage::kFire, 0);
-  uint64_t fired = 0;
-  std::vector<const Tuple*> row;
+  // The callback captures one reference, so the FiringFn holding it fits
+  // std::function's inline storage: a join that fires nothing allocates
+  // nothing.
+  struct Firing {
+    TriggerManager* self;
+    const FiringPlan* plan;
+    const UpdateDescriptor* token;
+    NetworkNodeId node;
+    StageTimer timer;
+    uint64_t fired = 0;
+  } firing{this, plan, &token, match.next_node,
+           StageTimer(&stage_metrics_, Stage::kFire, 0)};
   return trigger->network->MatchJoins(
-      match.next_node, tuple, [&](const std::vector<Tuple>& bindings) {
-        rule_firings_.fetch_add(1, std::memory_order_relaxed);
-        fire_timer.set_items(++fired);
-        row.clear();
-        for (const Tuple& t : bindings) row.push_back(&t);
-        RunAction(*plan, ActionContext{row.data(), &token, match.next_node});
+      match.next_node, tuple, [&firing](const Tuple* const* bindings) {
+        firing.self->rule_firings_.fetch_add(1, std::memory_order_relaxed);
+        firing.timer.set_items(++firing.fired);
+        firing.self->RunAction(
+            *firing.plan, ActionContext{bindings, firing.token, firing.node});
       });
 }
 
@@ -926,12 +984,11 @@ void TriggerManager::RunAction(const FiringPlan& plan,
 }
 
 Status TriggerManager::RunAggregateDelta(const FiringPlan& plan,
-                                         const TriggerHandle& trigger,
                                          const UpdateDescriptor& token,
                                          const Tuple& tuple, bool add,
                                          NetworkNodeId arrival_node) {
-  GroupByEvaluator* agg = trigger->aggregate.get();
-  TMAN_ASSIGN_OR_RETURN(auto firings, agg->ApplyDelta(tuple, add));
+  TMAN_ASSIGN_OR_RETURN(auto firings,
+                        plan.state->aggregate->ApplyDelta(tuple, add));
   const Tuple* binding = &tuple;
   for (const GroupByEvaluator::Firing& firing : firings) {
     rule_firings_.fetch_add(1, std::memory_order_relaxed);
@@ -958,16 +1015,27 @@ Result<TriggerHandle> TriggerManager::LoadTrigger(TriggerId id) {
   if (create == nullptr) {
     return Status::Corruption("catalog trigger_text is not create trigger");
   }
+  std::vector<Schema> schemas;
   TMAN_ASSIGN_OR_RETURN(std::shared_ptr<TriggerRuntime> runtime,
-                        BuildRuntime(*create, id, row->ts_id));
-  // A reload starts every stored memory empty: local tables are virtual
-  // nodes, and replaying a stream is out of scope (the paper's persistent
-  // queue covers staged, not consumed, updates).
+                        BuildRuntime(*create, id, row->ts_id, &schemas));
+  // A reload re-attaches the stored memories the trigger's plan holds, so
+  // it sees every row the evicted copy saw. Only a reopen starts them
+  // empty: local tables are virtual nodes, and replaying a stream is out
+  // of scope (the paper's persistent queue covers staged, not consumed,
+  // updates).
+  std::vector<AlphaMemoryRef> memories;
   {
     std::shared_lock lock(meta_mutex_);
-    auto it = aggregates_.find(id);
-    if (it != aggregates_.end()) runtime->aggregate = it->second;
+    const FiringPlan* plan = directory_.Plan(id);
+    if (plan == nullptr) {
+      return Status::NotFound("trigger " + std::to_string(id) +
+                              " is not installed");
+    }
+    if (plan->state != nullptr) memories = plan->state->memories;
   }
+  TMAN_ASSIGN_OR_RETURN(
+      runtime->network,
+      ATreatNetwork::Build(runtime->graph, db_, schemas, std::move(memories)));
   return TriggerHandle(runtime);
 }
 
@@ -992,6 +1060,7 @@ TriggerManagerStats TriggerManager::stats() const {
   st.actions = actions_->stats();
   st.cache = cache_->stats();
   st.predicates = pindex_->stats();
+  st.alpha = alpha_memories_.stats();
   if (wal_enabled()) {
     st.wal = log_.wal()->stats();
     st.wal_pending_tokens = log_.PendingTokens();
@@ -1014,6 +1083,9 @@ std::string TriggerManager::StatsText() const {
   out += "signatures=" + std::to_string(st.predicates.num_signatures) +
          " predicates=" + std::to_string(st.predicates.num_predicates) +
          " matches=" + std::to_string(st.predicates.matches_emitted) + "\n";
+  out += "alpha: memories=" + std::to_string(st.alpha.memories) +
+         " rows=" + std::to_string(st.alpha.rows) +
+         " nodes=" + std::to_string(st.alpha.nodes) + "\n";
   out += st.stages.ToString();
   out += "adapt: rounds=" + std::to_string(st.adapt_rounds) +
          " switches=" + std::to_string(st.adapt_switches) +

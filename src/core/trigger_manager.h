@@ -37,8 +37,8 @@ namespace tman {
 struct TriggerManagerOptions {
   /// Trigger cache capacity in trigger descriptions (§5.1's example:
   /// 16,384 descriptions fit a 64 MB cache at ~4 KB each). Only triggers
-  /// with join or aggregate state are cached; selection triggers fire
-  /// from their resident firing plans.
+  /// that fire through a join network are cached; selection and
+  /// aggregate triggers fire from their resident firing plans.
   size_t trigger_cache_capacity = 16384;
 
   /// Constant-set organization policy (thresholds / forcing).
@@ -101,6 +101,7 @@ struct TriggerManagerStats {
   ActionStats actions;
   TriggerCacheStats cache;
   PredicateIndexStats predicates;
+  AlphaMemoryStats alpha;            // shared stored alpha memories
   WalStats wal;                      // zeroes in memory mode
   uint64_t wal_pending_tokens = 0;   // durable tokens not yet processed
   /// Live per-stage latency/throughput + queue depth (tentpole part a).
@@ -309,9 +310,17 @@ class TriggerManager {
   Status InstallTrigger(const CreateTriggerCmd& cmd, TriggerId trigger_id,
                         uint64_t ts_id, bool catalog_write);
 
-  /// Builds the TriggerRuntime (parse → condition graph → network).
+  /// Builds the TriggerRuntime up to its condition graph (parse →
+  /// condition graph) and returns each tuple variable's schema in
+  /// `schemas`; the caller builds the network once its stored nodes'
+  /// memories are known.
   Result<std::shared_ptr<TriggerRuntime>> BuildRuntime(
-      const CreateTriggerCmd& cmd, TriggerId trigger_id, uint64_t ts_id);
+      const CreateTriggerCmd& cmd, TriggerId trigger_id, uint64_t ts_id,
+      std::vector<Schema>* schemas);
+
+  /// Detaches a removed (or never installed) trigger's stored nodes from
+  /// their shared memories.
+  void DetachMemories(const TriggerState* state);
 
   /// Token pipeline (§5.4): memory maintenance + fire matching + joins +
   /// action execution for one partition of the predicate index.
@@ -330,6 +339,8 @@ class TriggerManager {
 
   /// The maintenance pass of ProcessToken (stored alpha memories,
   /// aggregate group state), shared by the scalar and batched pipelines.
+  /// Reaches each trigger's state through its firing plan, never the
+  /// trigger cache, and updates each shared memory once per tuple.
   Status MaintainToken(const UpdateDescriptor& token, uint32_t partition,
                        uint32_t num_partitions);
 
@@ -348,12 +359,11 @@ class TriggerManager {
   /// one tuple delta to the group-by evaluator and run the action for
   /// every group whose having condition just became true.
   Status RunAggregateDelta(const FiringPlan& plan,
-                           const TriggerHandle& trigger,
                            const UpdateDescriptor& token, const Tuple& tuple,
                            bool add, NetworkNodeId arrival_node);
 
-  /// Loader installed into the trigger cache; re-attaches an aggregate's
-  /// surviving group-by state.
+  /// Loader installed into the trigger cache; re-attaches the stored
+  /// memories the trigger's firing plan holds.
   Result<TriggerHandle> LoadTrigger(TriggerId id);
 
   /// Registers a local table in the registry + predicate index and
@@ -395,18 +405,18 @@ class TriggerManager {
 
   // Builds each trigger's firing plan, sharing action templates.
   ActionTemplates action_templates_;
+  // One stored alpha memory per distinct join selection, attached to by
+  // every stored node with that selection and held by their plans.
+  AlphaMemoryRegistry alpha_memories_;
   // Per-match dispatch state and firing plans, read lock-free by the
   // token pipeline. DDL updates it under meta_mutex_'s exclusive lock.
   TriggerDirectory directory_;
   // Guards the maps below and serializes directory writers. The token
-  // pipeline never takes it; a cache miss (LoadTrigger) reads aggregates_.
+  // pipeline never takes it; a cache miss (LoadTrigger) reads a plan
+  // under it.
   mutable std::shared_mutex meta_mutex_;
   std::map<std::string, TriggerId> trigger_by_name_;
   std::map<TriggerId, std::vector<ExprId>> expr_ids_by_trigger_;
-  // Aggregate (group by/having) state, the one per-trigger structure that
-  // outlives cache eviction: LoadTrigger re-attaches it to a reloaded
-  // runtime.
-  std::map<TriggerId, std::shared_ptr<GroupByEvaluator>> aggregates_;
   uint64_t default_ts_id_ = 0;
   bool opened_ = false;
 

@@ -1,48 +1,151 @@
 #include "network/atreat.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "expr/eval.h"
 
 namespace tman {
 
+bool ATreatNetwork::NodeStored(const ConditionGraph& graph, const Database* db,
+                               size_t node) {
+  return graph.nodes().size() > 1 &&
+         !(db != nullptr && db->HasTable(graph.nodes()[node].info.source_name));
+}
+
+std::vector<AlphaMemoryRef> ATreatNetwork::PrivateMemories(
+    const ConditionGraph& graph, const Database* db) {
+  std::vector<AlphaMemoryRef> memories(graph.nodes().size());
+  for (size_t i = 0; i < memories.size(); ++i) {
+    if (NodeStored(graph, db, i)) {
+      memories[i].memory = std::make_shared<AlphaMemory>();
+    }
+  }
+  return memories;
+}
+
 Result<std::unique_ptr<ATreatNetwork>> ATreatNetwork::Build(
     const ConditionGraph& graph, Database* db,
-    const std::vector<Schema>& schemas) {
-  if (!schemas.empty() && schemas.size() != graph.nodes().size()) {
+    const std::vector<Schema>& schemas, std::vector<AlphaMemoryRef> memories) {
+  const size_t n = graph.nodes().size();
+  if (!schemas.empty() && schemas.size() != n) {
     return Status::InvalidArgument(
         "schema count does not match condition graph nodes");
   }
+  if (!memories.empty() && memories.size() != n) {
+    return Status::InvalidArgument(
+        "memory count does not match condition graph nodes");
+  }
   std::unique_ptr<ATreatNetwork> net(new ATreatNetwork(graph, db));
-  net->nodes_.resize(graph.nodes().size());
-  bool multi = graph.nodes().size() > 1;
-  for (size_t i = 0; i < graph.nodes().size(); ++i) {
+  net->nodes_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     const ConditionGraph::Node& gnode = graph.nodes()[i];
     AlphaNode& anode = net->nodes_[i];
-    bool local_table =
-        db != nullptr && db->HasTable(gnode.info.source_name);
     if (!schemas.empty()) {
       anode.schema = schemas[i];
-    } else if (local_table) {
+    } else if (db != nullptr && db->HasTable(gnode.info.source_name)) {
       TMAN_ASSIGN_OR_RETURN(anode.schema, db->SchemaOf(gnode.info.source_name));
     }
-    // Single-variable triggers need no memories at all: the predicate
-    // index decides everything and the token itself is the firing. A
-    // local table is a virtual alpha node (A-TREAT).
-    anode.stored = multi && !local_table;
-    if (anode.stored) anode.memory = std::make_unique<AlphaMemory>();
+    if (!NodeStored(graph, db, i)) continue;
+    if (memories.empty() || memories[i].memory == nullptr) {
+      return Status::InvalidArgument("stored alpha node " + gnode.info.var +
+                                     " has no memory");
+    }
+    anode.memory = std::move(memories[i]);
   }
   net->CompilePredicates();
+  net->steps_.reserve(n);
+  for (size_t a = 0; a < n; ++a) net->steps_.push_back(net->PlanSteps(a));
+  // Index every memory on the fields its equality probes read, so probes
+  // run under the memory's shared lock.
+  for (const std::vector<Step>& steps : net->steps_) {
+    for (const Step& step : steps) {
+      const AlphaMemoryRef& m = net->nodes_[step.node].memory;
+      if (step.probe && m.memory != nullptr) m.memory->AddIndex(step.field);
+    }
+  }
   return net;
+}
+
+std::vector<ATreatNetwork::Step> ATreatNetwork::PlanSteps(
+    size_t arrival) const {
+  const size_t n = nodes_.size();
+  std::vector<size_t> order;
+  std::vector<bool> seen(n, false);
+  seen[arrival] = true;
+  for (size_t head = 0, u = arrival;; u = order[head++]) {
+    for (const ConditionGraph::Edge& e : graph_.edges()) {
+      if (e.a != u && e.b != u) continue;
+      size_t w = e.a == u ? e.b : e.a;
+      if (!seen[w]) {
+        seen[w] = true;
+        order.push_back(w);
+      }
+    }
+    if (head == order.size()) break;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!seen[i]) order.push_back(i);
+  }
+
+  std::vector<bool> bound(n, false);
+  bound[arrival] = true;
+  std::vector<Step> steps;
+  for (size_t v : order) {
+    Step step;
+    step.node = v;
+    const std::string& var = graph_.nodes()[v].info.var;
+    for (size_t ei = 0; ei < graph_.edges().size(); ++ei) {
+      const ConditionGraph::Edge& e = graph_.edges()[ei];
+      if (e.a != v && e.b != v) continue;
+      size_t other = e.a == v ? e.b : e.a;
+      if (!bound[other]) continue;
+      step.edges.push_back(ei);
+      // The first equijoin conjunct `v.f = other.g` supplies the probe.
+      const std::string& other_var = graph_.nodes()[other].info.var;
+      for (const ExprPtr& c : e.join_conjuncts) {
+        if (step.probe) break;
+        if (c->kind != ExprKind::kBinaryOp || c->bin_op != BinOp::kEq) {
+          continue;
+        }
+        const ExprPtr& l = c->children[0];
+        const ExprPtr& r = c->children[1];
+        if (l->kind != ExprKind::kColumnRef ||
+            r->kind != ExprKind::kColumnRef) {
+          continue;
+        }
+        const Expr* mine = nullptr;
+        const Expr* theirs = nullptr;
+        if (l->tuple_var == var && r->tuple_var == other_var) {
+          mine = l.get();
+          theirs = r.get();
+        } else if (r->tuple_var == var && l->tuple_var == other_var) {
+          mine = r.get();
+          theirs = l.get();
+        } else {
+          continue;
+        }
+        int my_field = nodes_[v].schema.FieldIndex(mine->attribute);
+        int their_field = nodes_[other].schema.FieldIndex(theirs->attribute);
+        if (my_field < 0 || their_field < 0) continue;
+        step.probe = true;
+        step.field = static_cast<size_t>(my_field);
+        step.other = other;
+        step.other_field = static_cast<size_t>(their_field);
+      }
+    }
+    bound[v] = true;
+    steps.push_back(std::move(step));
+  }
+  return steps;
 }
 
 void ATreatNetwork::CompilePredicates() {
   // Only join enumeration over a virtual node reads a selection. A stored
-  // node's tuples passed it in the predicate index before AddTuple, and a
-  // single-variable trigger's selection is the predicate index's alone.
+  // node's tuples passed it in the predicate index before maintenance,
+  // and a single-variable trigger's selection is the predicate index's
+  // alone.
   for (size_t i = 0; i < nodes_.size() && nodes_.size() > 1; ++i) {
-    if (nodes_[i].stored) continue;
+    if (nodes_[i].memory.memory != nullptr) continue;
     ExprPtr selection = graph_.nodes()[i].SelectionPredicate();
     if (selection == nullptr) continue;
     BindingLayout layout;
@@ -84,7 +187,8 @@ Status ATreatNetwork::AddTuple(NetworkNodeId node, const Tuple& tuple) const {
   if (node >= nodes_.size()) {
     return Status::InvalidArgument("bad network node id");
   }
-  if (nodes_[node].stored) nodes_[node].memory->Insert(tuple);
+  const AlphaMemoryRef& m = nodes_[node].memory;
+  if (m.memory != nullptr) m.memory->Insert(tuple);
   return Status::OK();
 }
 
@@ -92,29 +196,26 @@ Status ATreatNetwork::RemoveTuple(NetworkNodeId node, const Tuple& tuple) const 
   if (node >= nodes_.size()) {
     return Status::InvalidArgument("bad network node id");
   }
-  if (nodes_[node].stored) nodes_[node].memory->Remove(tuple);
+  const AlphaMemoryRef& m = nodes_[node].memory;
+  if (m.memory != nullptr) m.memory->Remove(tuple);
   return Status::OK();
 }
 
-Bindings ATreatNetwork::MakeBindings(
-    const std::vector<std::optional<Tuple>>& bound) const {
+Bindings ATreatNetwork::MakeBindings(const Tuple* const* bound) const {
   Bindings b;
-  for (size_t i = 0; i < bound.size(); ++i) {
-    if (bound[i].has_value()) {
-      b.Bind(graph_.nodes()[i].info.var, &nodes_[i].schema, &*bound[i]);
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (bound[i] != nullptr) {
+      b.Bind(graph_.nodes()[i].info.var, &nodes_[i].schema, bound[i]);
     }
   }
   return b;
 }
 
-Result<bool> ATreatNetwork::EdgesSatisfied(
-    const std::vector<std::optional<Tuple>>& bound, size_t just_bound) const {
-  for (size_t ei = 0; ei < graph_.edges().size(); ++ei) {
+Result<bool> ATreatNetwork::EdgesSatisfied(const Tuple* const* bound,
+                                           const Step& step) const {
+  for (size_t ei : step.edges) {
     const ConditionGraph::Edge& e = graph_.edges()[ei];
-    if (e.a != just_bound && e.b != just_bound) continue;
-    size_t other = e.a == just_bound ? e.b : e.a;
-    if (!bound[other].has_value()) continue;
-    const Tuple* pair[2] = {&*bound[e.a], &*bound[e.b]};
+    const Tuple* pair[2] = {bound[e.a], bound[e.b]};
     for (size_t ci = 0; ci < e.join_conjuncts.size(); ++ci) {
       const CompiledPredicate* prog = edge_programs_[ei][ci].get();
       if (prog != nullptr) {
@@ -131,25 +232,12 @@ Result<bool> ATreatNetwork::EdgesSatisfied(
   return true;
 }
 
-Result<bool> ATreatNetwork::CatchAllSatisfied(
-    const std::vector<std::optional<Tuple>>& bound) const {
-  if (graph_.catch_all().empty()) return true;
-  // The catch-all runs with every variable bound; collect the row once.
-  bool all_bound = true;
-  std::vector<const Tuple*> row(bound.size());
-  for (size_t i = 0; i < bound.size(); ++i) {
-    if (bound[i].has_value()) {
-      row[i] = &*bound[i];
-    } else {
-      all_bound = false;
-      break;
-    }
-  }
+Result<bool> ATreatNetwork::CatchAllSatisfied(const Tuple* const* bound) const {
+  // Runs with every variable bound.
   for (size_t ci = 0; ci < graph_.catch_all().size(); ++ci) {
-    const CompiledPredicate* prog =
-        all_bound ? catch_all_programs_[ci].get() : nullptr;
+    const CompiledPredicate* prog = catch_all_programs_[ci].get();
     if (prog != nullptr) {
-      TMAN_ASSIGN_OR_RETURN(bool pass, prog->EvalBool(row.data(), row.size()));
+      TMAN_ASSIGN_OR_RETURN(bool pass, prog->EvalBool(bound, nodes_.size()));
       if (!pass) return false;
     } else {
       Bindings b = MakeBindings(bound);
@@ -161,120 +249,61 @@ Result<bool> ATreatNetwork::CatchAllSatisfied(
   return true;
 }
 
-namespace {
-
-/// Finds an equijoin conjunct `v.f == other.g` between the node being
-/// enumerated and an already-bound node; returns the probe field of v and
-/// the concrete value from the bound side.
-struct EquiProbe {
-  bool found = false;
-  size_t field = 0;
-  Value value;
-};
-
-}  // namespace
-
-Status ATreatNetwork::Enumerate(std::vector<std::optional<Tuple>>* bound,
-                                const std::vector<size_t>& order, size_t depth,
+Status ATreatNetwork::Enumerate(const Tuple** bound,
+                                const std::vector<Step>& steps, size_t depth,
                                 const FiringFn& fn) const {
-  if (depth == order.size()) {
-    TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(*bound));
-    if (pass) {
-      std::vector<Tuple> firing;
-      firing.reserve(bound->size());
-      for (const auto& t : *bound) firing.push_back(t.value_or(Tuple()));
-      fn(firing);
-    }
+  if (depth == steps.size()) {
+    TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(bound));
+    if (pass) fn(bound);
     return Status::OK();
   }
+  const Step& step = steps[depth];
+  const AlphaMemoryRef& m = nodes_[step.node].memory;
+  if (m.memory == nullptr) return EnumerateVirtual(bound, steps, depth, fn);
 
-  size_t v = order[depth];
-  const ConditionGraph::Node& gnode = graph_.nodes()[v];
-  const AlphaNode& anode = nodes_[v];
-
-  // Look for an equijoin probe opportunity against a bound variable.
-  EquiProbe probe;
-  for (const ConditionGraph::Edge& e : graph_.edges()) {
-    if (probe.found) break;
-    if (e.a != v && e.b != v) continue;
-    size_t other = e.a == v ? e.b : e.a;
-    if (!(*bound)[other].has_value()) continue;
-    for (const ExprPtr& c : e.join_conjuncts) {
-      if (c->kind != ExprKind::kBinaryOp || c->bin_op != BinOp::kEq) continue;
-      const ExprPtr& l = c->children[0];
-      const ExprPtr& r = c->children[1];
-      if (l->kind != ExprKind::kColumnRef || r->kind != ExprKind::kColumnRef) {
-        continue;
-      }
-      const Expr* mine = nullptr;
-      const Expr* theirs = nullptr;
-      if (l->tuple_var == gnode.info.var &&
-          r->tuple_var == graph_.nodes()[other].info.var) {
-        mine = l.get();
-        theirs = r.get();
-      } else if (r->tuple_var == gnode.info.var &&
-                 l->tuple_var == graph_.nodes()[other].info.var) {
-        mine = r.get();
-        theirs = l.get();
-      } else {
-        continue;
-      }
-      int my_field = anode.schema.FieldIndex(mine->attribute);
-      int their_field =
-          nodes_[other].schema.FieldIndex(theirs->attribute);
-      if (my_field < 0 || their_field < 0) continue;
-      probe.found = true;
-      probe.field = static_cast<size_t>(my_field);
-      probe.value = (*bound)[other]->at(static_cast<size_t>(their_field));
-      break;
-    }
+  RowSnapshot rows;
+  const Tuple* probe_from = step.probe ? bound[step.other] : nullptr;
+  if (probe_from != nullptr && step.other_field < probe_from->size()) {
+    m.memory->SnapshotEqual(step.field, probe_from->at(step.other_field),
+                            m.since, &rows);
+  } else {
+    m.memory->Snapshot(m.since, &rows);
   }
-
-  Status inner = Status::OK();
-  auto consider = [&](const Tuple& candidate) -> bool {
-    if (!inner.ok()) return false;
-    (*bound)[v] = candidate;
-    auto pass = EdgesSatisfied(*bound, v);
-    if (!pass.ok()) {
-      inner = pass.status();
-      (*bound)[v].reset();
-      return false;
-    }
-    if (*pass) {
-      Status s = Enumerate(bound, order, depth + 1, fn);
-      if (!s.ok()) {
-        inner = s;
-        (*bound)[v].reset();
-        return false;
-      }
-    }
-    (*bound)[v].reset();
-    return true;
-  };
-
-  if (anode.stored) {
-    if (probe.found) {
-      anode.memory->ProbeEqual(probe.field, probe.value, consider);
-    } else {
-      anode.memory->ForEach(consider);
-    }
-    return inner;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    bound[step.node] = &rows[i].tuple;
+    Result<bool> pass = EdgesSatisfied(bound, step);
+    Status s = pass.ok() ? Status::OK() : pass.status();
+    if (s.ok() && *pass) s = Enumerate(bound, steps, depth + 1, fn);
+    bound[step.node] = nullptr;
+    if (!s.ok()) return s;
   }
+  return Status::OK();
+}
 
-  // Virtual alpha node: enumerate the base table, applying the node's
-  // selection predicate on the fly. If the table has an index on the
-  // equijoin probe attribute, probe it instead of scanning — the paper's
-  // "data values ... can be processed by a query" run through the host's
-  // query machinery.
+Status ATreatNetwork::EnumerateVirtual(const Tuple** bound,
+                                       const std::vector<Step>& steps,
+                                       size_t depth,
+                                       const FiringFn& fn) const {
+  // Enumerate the base table, applying the node's selection predicate on
+  // the fly. If the table has an index on the equijoin probe attribute,
+  // probe it instead of scanning — the paper's "data values ... can be
+  // processed by a query" run through the host's query machinery.
+  const Step& step = steps[depth];
+  const ConditionGraph::Node& gnode = graph_.nodes()[step.node];
+  const AlphaNode& anode = nodes_[step.node];
   if (db_ == nullptr || !db_->HasTable(gnode.info.source_name)) {
     return Status::Internal("virtual alpha node without a backing table: " +
                             gnode.info.source_name);
   }
+  const Value* probe_value = nullptr;
+  if (step.probe && step.other_field < bound[step.other]->size()) {
+    probe_value = &bound[step.other]->at(step.other_field);
+  }
   ExprPtr selection = gnode.SelectionPredicate();
+  Status inner = Status::OK();
   auto filter_and_consider = [&](const Tuple& t) -> bool {
-    if (!inner.ok()) return false;
-    if (probe.found &&
-        (probe.field >= t.size() || t.at(probe.field) != probe.value)) {
+    if (probe_value != nullptr &&
+        (step.field >= t.size() || t.at(step.field) != *probe_value)) {
       return true;
     }
     if (selection != nullptr) {
@@ -293,14 +322,19 @@ Status ATreatNetwork::Enumerate(std::vector<std::optional<Tuple>>* bound,
       }
       if (!*pass) return true;
     }
-    return consider(t);
+    bound[step.node] = &t;
+    Result<bool> pass = EdgesSatisfied(bound, step);
+    inner = pass.ok() ? Status::OK() : pass.status();
+    if (inner.ok() && *pass) inner = Enumerate(bound, steps, depth + 1, fn);
+    bound[step.node] = nullptr;
+    return inner.ok();
   };
 
-  if (probe.found && probe.field < anode.schema.num_fields()) {
+  if (probe_value != nullptr && step.field < anode.schema.num_fields()) {
     auto idx = db_->FindIndexOn(gnode.info.source_name,
-                                {anode.schema.field(probe.field).name});
+                                {anode.schema.field(step.field).name});
     if (idx.ok()) {
-      auto rids = db_->IndexLookup(*idx, {probe.value});
+      auto rids = db_->IndexLookup(*idx, {*probe_value});
       if (!rids.ok()) return rids.status();
       for (const Rid& rid : *rids) {
         auto t = db_->Get(gnode.info.source_name, rid);
@@ -320,40 +354,20 @@ Status ATreatNetwork::Enumerate(std::vector<std::optional<Tuple>>* bound,
 
 Status ATreatNetwork::MatchJoins(NetworkNodeId node, const Tuple& tuple,
                                  const FiringFn& fn) const {
-  if (node >= nodes_.size()) {
+  const size_t n = nodes_.size();
+  if (node >= n) {
     return Status::InvalidArgument("bad network node id");
   }
-  size_t n = nodes_.size();
-  std::vector<std::optional<Tuple>> bound(n);
-  bound[node] = tuple;
-  if (n == 1) {
-    TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(bound));
-    if (pass) fn({tuple});
-    return Status::OK();
+  constexpr size_t kInlineNodes = 8;
+  const Tuple* inline_bound[kInlineNodes] = {};
+  std::vector<const Tuple*> heap_bound;
+  const Tuple** bound = inline_bound;
+  if (n > kInlineNodes) {
+    heap_bound.assign(n, nullptr);
+    bound = heap_bound.data();
   }
-  // Enumeration order: BFS from the arriving node across join edges keeps
-  // every step constrained; disconnected variables (cartesian) go last.
-  std::vector<size_t> order;
-  std::vector<bool> seen(n, false);
-  seen[node] = true;
-  std::deque<size_t> queue{node};
-  while (!queue.empty()) {
-    size_t u = queue.front();
-    queue.pop_front();
-    for (const ConditionGraph::Edge& e : graph_.edges()) {
-      if (e.a != u && e.b != u) continue;
-      size_t w = e.a == u ? e.b : e.a;
-      if (!seen[w]) {
-        seen[w] = true;
-        order.push_back(w);
-        queue.push_back(w);
-      }
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!seen[i]) order.push_back(i);
-  }
-  return Enumerate(&bound, order, 0, fn);
+  bound[node] = &tuple;
+  return Enumerate(bound, steps_[node], 0, fn);
 }
 
 }  // namespace tman

@@ -23,10 +23,8 @@ Status ConstantSetOrganization::MatchPartition(
     const Probe& probe, uint32_t partition, uint32_t num_partitions,
     const std::function<void(const PredicateEntry&)>& fn) const {
   if (num_partitions <= 1) return Match(probe, fn);
-  // Round-robin assignment by exprID, as in Figure 5's partitioned
-  // triggerID sets: partition p processes every num_partitions-th entry.
   return Match(probe, [&](const PredicateEntry& e) {
-    if (e.expr_id % num_partitions == partition) fn(e);
+    if (PartitionOf(e.expr_id, num_partitions) == partition) fn(e);
   });
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "types/tuple.h"
+#include "types/update_descriptor.h"
 
 namespace tman {
 
@@ -33,6 +34,15 @@ struct PredicateEntry {
   /// field i-1 holds CONSTANT_i.
   Tuple constants;
 };
+
+/// The condition partition (of `num_partitions`) that processes the
+/// predicate `expr_id`: round-robin by exprID, as in Figure 5's
+/// partitioned triggerID sets.
+inline uint32_t PartitionOf(ExprId expr_id, uint32_t num_partitions) {
+  return num_partitions <= 1
+             ? 0
+             : static_cast<uint32_t>(expr_id % num_partitions);
+}
 
 /// What the predicate index reports for a matched token (§5.4): enough to
 /// pin the trigger and pass the token to its network node.

@@ -266,9 +266,10 @@ class PlanDifferential {
         {"q", "quotes", 1, OpCode::kInsertOrUpdate},
         {"r", "refs", 2, OpCode::kInsertOrUpdate}};
     t->graph = ConditionGraph::Build(vars, {}).value();
-    t->network = ATreatNetwork::Build(t->graph, nullptr,
-                                      {q_schema_, r_schema_})
-                     .value();
+    t->network =
+        ATreatNetwork::Build(t->graph, nullptr, {q_schema_, r_schema_},
+                             ATreatNetwork::PrivateMemories(t->graph, nullptr))
+            .value();
     t->cmd.action.kind = ActionKind::kRaiseEvent;
     t->cmd.action.event_name = "P";
     t->cmd.action.event_args = std::move(args);

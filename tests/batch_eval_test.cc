@@ -588,7 +588,8 @@ TEST(BatchHotPathTest, BatchedPathsDoNotTouchInterpreter) {
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
   ASSERT_EQ(graph->catch_all().size(), 1u);
-  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
+  auto net = ATreatNetwork::Build(
+      *graph, nullptr, schemas, ATreatNetwork::PrivateMemories(*graph, nullptr));
   ASSERT_TRUE(net.ok());
 
   const uint64_t before = InterpreterEvalCalls();
@@ -620,7 +621,7 @@ TEST(BatchHotPathTest, BatchedPathsDoNotTouchInterpreter) {
   // 3. A-TREAT maintenance and multi-candidate joins: every shipment
   //    joins the four orders that share its oid.
   int firings = 0;
-  auto count = [&firings](const std::vector<Tuple>&) { ++firings; };
+  auto count = [&firings](const Tuple* const*) { ++firings; };
   for (NetworkNodeId node : {0, 1}) {
     for (int i = 0; i < 16; ++i) {
       Tuple t({Value::Int(i % 4), Value::Int(node == 0 ? 1 : 10)});

@@ -403,7 +403,8 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
   ASSERT_EQ(graph->catch_all().size(), 1u);
-  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
+  auto net = ATreatNetwork::Build(
+      *graph, nullptr, schemas, ATreatNetwork::PrivateMemories(*graph, nullptr));
   ASSERT_TRUE(net.ok());
   ASSERT_TRUE((*net)->node_stored(0) && (*net)->node_stored(1));
 
@@ -441,7 +442,7 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
   // 2. A-TREAT maintenance and join: equijoin probe of a stored memory,
   //    compiled residual and catch-all conjuncts.
   int firings = 0;
-  auto count = [&firings](const std::vector<Tuple>&) { ++firings; };
+  auto count = [&firings](const Tuple* const*) { ++firings; };
   for (int i = 0; i < 5; ++i) {
     for (NetworkNodeId node : {0, 1}) {
       Tuple t({Value::Int(i), Value::Int(node == 0 ? 1 : 10)});

@@ -14,6 +14,29 @@ ExprPtr Parse(const std::string& text) {
   return *r;
 }
 
+/// Visits the rows of `mem` with seq >= `since`; `fn` returning false
+/// stops.
+template <typename Fn>
+void ForEach(const AlphaMemory& mem, Fn fn, uint64_t since = 0) {
+  RowSnapshot rows;
+  mem.Snapshot(since, &rows);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!fn(rows[i].tuple)) return;
+  }
+}
+
+/// Visits the rows of `mem` with seq >= `since` whose `field` equals
+/// `value`.
+template <typename Fn>
+void ProbeEqual(const AlphaMemory& mem, size_t field, const Value& value,
+                Fn fn, uint64_t since = 0) {
+  RowSnapshot rows;
+  mem.SnapshotEqual(field, value, since, &rows);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!fn(rows[i].tuple)) return;
+  }
+}
+
 TEST(AlphaMemoryTest, InsertRemoveForEach) {
   AlphaMemory mem;
   Tuple a({Value::Int(1), Value::String("a")});
@@ -25,7 +48,7 @@ TEST(AlphaMemoryTest, InsertRemoveForEach) {
   EXPECT_FALSE(mem.Remove(a));
   EXPECT_EQ(mem.size(), 1u);
   int count = 0;
-  mem.ForEach([&](const Tuple& t) {
+  ForEach(mem, [&](const Tuple& t) {
     EXPECT_EQ(t, b);
     ++count;
     return true;
@@ -51,7 +74,7 @@ TEST(AlphaMemoryTest, ProbeEqualUsesIndex) {
     mem.Insert(Tuple({Value::Int(i % 10), Value::Int(i)}));
   }
   std::set<int64_t> seen;
-  mem.ProbeEqual(0, Value::Int(3), [&](const Tuple& t) {
+  ProbeEqual(mem, 0, Value::Int(3), [&](const Tuple& t) {
     seen.insert(t.at(1).as_int());
     return true;
   });
@@ -60,7 +83,7 @@ TEST(AlphaMemoryTest, ProbeEqualUsesIndex) {
   // Index stays correct after removals.
   EXPECT_TRUE(mem.Remove(Tuple({Value::Int(3), Value::Int(3)})));
   seen.clear();
-  mem.ProbeEqual(0, Value::Int(3), [&](const Tuple& t) {
+  ProbeEqual(mem, 0, Value::Int(3), [&](const Tuple& t) {
     seen.insert(t.at(1).as_int());
     return true;
   });
@@ -73,8 +96,8 @@ TEST(AlphaMemoryTest, ProbeIndexesSurviveRemoveAndSlotReuse) {
   mem.Insert(Tuple({Value::Int(1), Value::String("a")}));
   mem.Insert(Tuple({Value::Int(2), Value::String("b")}));
   mem.Insert(Tuple({Value::Int(3), Value::String("c")}));
-  mem.ProbeEqual(0, Value::Int(1), [](const Tuple&) { return true; });
-  mem.ProbeEqual(1, Value::String("a"), [](const Tuple&) { return true; });
+  ProbeEqual(mem, 0, Value::Int(1), [](const Tuple&) { return true; });
+  ProbeEqual(mem, 1, Value::String("a"), [](const Tuple&) { return true; });
 
   // Churn: every removal frees a slot that the next insert reuses for a
   // tuple with different field values; both indexes must track the swaps.
@@ -91,14 +114,14 @@ TEST(AlphaMemoryTest, ProbeIndexesSurviveRemoveAndSlotReuse) {
   for (int64_t k = 1; k <= 3; ++k) {
     std::string s(1, static_cast<char>('a' + (k - 1)));
     int hits = 0;
-    mem.ProbeEqual(0, Value::Int(k), [&](const Tuple& t) {
+    ProbeEqual(mem, 0, Value::Int(k), [&](const Tuple& t) {
       EXPECT_EQ(t.at(1).as_string(), s);
       ++hits;
       return true;
     });
     EXPECT_EQ(hits, 1) << "int probe for " << k;
     hits = 0;
-    mem.ProbeEqual(1, Value::String(s), [&](const Tuple& t) {
+    ProbeEqual(mem, 1, Value::String(s), [&](const Tuple& t) {
       EXPECT_EQ(t.at(0).as_int(), k);
       ++hits;
       return true;
@@ -111,17 +134,17 @@ TEST(AlphaMemoryTest, ProbeIndexesSurviveRemoveAndSlotReuse) {
   ASSERT_TRUE(mem.Remove(Tuple({Value::Int(2), Value::String("b")})));
   mem.Insert(Tuple({Value::Int(7), Value::String("y")}));  // reuses b's slot
   int stale = 0;
-  mem.ProbeEqual(0, Value::Int(2), [&](const Tuple&) {
+  ProbeEqual(mem, 0, Value::Int(2), [&](const Tuple&) {
     ++stale;
     return true;
   });
-  mem.ProbeEqual(1, Value::String("b"), [&](const Tuple&) {
+  ProbeEqual(mem, 1, Value::String("b"), [&](const Tuple&) {
     ++stale;
     return true;
   });
   EXPECT_EQ(stale, 0);
   int fresh = 0;
-  mem.ProbeEqual(0, Value::Int(7), [&](const Tuple& t) {
+  ProbeEqual(mem, 0, Value::Int(7), [&](const Tuple& t) {
     EXPECT_EQ(t.at(1).as_string(), "y");
     ++fresh;
     return true;
@@ -133,11 +156,11 @@ TEST(AlphaMemoryTest, ShortTuplesCoexistWithProbeIndexes) {
   AlphaMemory mem;
   mem.Insert(Tuple({Value::Int(1), Value::String("long")}));
   // Index on field 1 exists before the short tuple arrives.
-  mem.ProbeEqual(1, Value::String("long"), [](const Tuple&) { return true; });
+  ProbeEqual(mem, 1, Value::String("long"), [](const Tuple&) { return true; });
   Tuple short_tuple({Value::Int(2)});
   mem.Insert(short_tuple);  // lacks field 1: stays out of that index
   int hits = 0;
-  mem.ProbeEqual(0, Value::Int(2), [&](const Tuple&) {
+  ProbeEqual(mem, 0, Value::Int(2), [&](const Tuple&) {
     ++hits;
     return true;
   });
@@ -146,12 +169,120 @@ TEST(AlphaMemoryTest, ShortTuplesCoexistWithProbeIndexes) {
   // The freed slot is reused by a full-width tuple; both indexes pick it up.
   mem.Insert(Tuple({Value::Int(5), Value::String("reborn")}));
   hits = 0;
-  mem.ProbeEqual(1, Value::String("reborn"), [&](const Tuple&) {
+  ProbeEqual(mem, 1, Value::String("reborn"), [&](const Tuple&) {
     ++hits;
     return true;
   });
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(mem.size(), 2u);
+}
+
+TEST(AlphaMemoryTest, LaterNodeSeesOnlyNewerRows) {
+  AlphaMemory mem;
+  Tuple a({Value::Int(1), Value::Int(10)});
+  Tuple b({Value::Int(1), Value::Int(20)});
+  mem.Insert(a);
+  const uint64_t since = mem.next_seq();  // a node attaches here
+  mem.Insert(b);
+  EXPECT_EQ(mem.size(), 2u);
+  EXPECT_EQ(mem.CountSince(0), 2u);
+  EXPECT_EQ(mem.CountSince(since), 1u);
+  std::vector<Tuple> seen;
+  ForEach(mem, 
+      [&](const Tuple& t) {
+        seen.push_back(t);
+        return true;
+      },
+      since);
+  EXPECT_EQ(seen, std::vector<Tuple>{b});
+  seen.clear();
+  ProbeEqual(mem, 
+      0, Value::Int(1),
+      [&](const Tuple& t) {
+        seen.push_back(t);
+        return true;
+      },
+      since);
+  EXPECT_EQ(seen, std::vector<Tuple>{b});
+}
+
+TEST(AlphaMemoryTest, RemoveTakesTheNewestEqualRow) {
+  // An older node sees both copies of `a`, a node attached between them
+  // only the second. One delete must leave each exactly what its private
+  // memory would hold: one copy, and none.
+  for (bool indexed : {false, true}) {
+    AlphaMemory mem;
+    if (indexed) mem.AddIndex(0);
+    Tuple a({Value::Int(1), Value::Int(10)});
+    mem.Insert(a);
+    const uint64_t since = mem.next_seq();
+    mem.Insert(Tuple({Value::Int(2), Value::Int(20)}));
+    mem.Insert(a);
+    ASSERT_TRUE(mem.Remove(a));
+    EXPECT_EQ(mem.CountSince(0), 2u) << "indexed " << indexed;
+    EXPECT_EQ(mem.CountSince(since), 1u) << "indexed " << indexed;
+    int copies = 0;
+    ProbeEqual(mem, 0, Value::Int(1), [&](const Tuple&) {
+      ++copies;
+      return true;
+    }, since);
+    EXPECT_EQ(copies, 0) << "indexed " << indexed;
+  }
+}
+
+TEST(AlphaMemoryRegistryTest, OneMemoryPerSelection) {
+  AlphaMemoryRegistry registry;
+  AlphaMemoryKey cat3{1, 7, 0, {Value::Int(3)}};
+  AlphaMemoryRef first = registry.Attach(cat3);
+  EXPECT_EQ(first.since, 0u);
+  first.memory->Insert(Tuple({Value::Int(3)}));
+  AlphaMemoryRef second = registry.Attach(cat3);
+  EXPECT_EQ(second.memory, first.memory);
+  EXPECT_EQ(second.since, 1u);  // sees no row from before it attached
+
+  // Another constant, constant type, signature, source or partition is
+  // another memory.
+  AlphaMemoryKey others[] = {{1, 7, 0, {Value::Int(4)}},
+                             {1, 7, 0, {Value::Float(3)}},
+                             {1, 8, 0, {Value::Int(3)}},
+                             {2, 7, 0, {Value::Int(3)}},
+                             {1, 7, 1, {Value::Int(3)}}};
+  std::vector<AlphaMemoryRef> refs;
+  for (const AlphaMemoryKey& key : others) {
+    refs.push_back(registry.Attach(key));
+    EXPECT_NE(refs.back().memory, first.memory);
+  }
+  AlphaMemoryStats st = registry.stats();
+  EXPECT_EQ(st.memories, 6u);
+  EXPECT_EQ(st.nodes, 7u);
+  EXPECT_EQ(st.rows, 1u);
+
+  registry.Detach(first);
+  EXPECT_EQ(registry.stats().memories, 6u);
+  registry.Detach(second);
+  for (const AlphaMemoryRef& ref : refs) registry.Detach(ref);
+  st = registry.stats();
+  EXPECT_EQ(st.memories, 0u);
+  EXPECT_EQ(st.nodes, 0u);
+  // A later attach starts a fresh memory.
+  AlphaMemoryRef fresh = registry.Attach(cat3);
+  EXPECT_EQ(fresh.memory->size(), 0u);
+  EXPECT_EQ(fresh.since, 0u);
+}
+
+TEST(AlphaMemoryTest, ProbeFindingNothingLeavesAnEmptySnapshot) {
+  AlphaMemory mem;
+  mem.AddIndex(0);
+  for (int64_t i = 0; i < 20; ++i) mem.Insert(Tuple({Value::Int(i % 4)}));
+  RowSnapshot none;
+  mem.SnapshotEqual(0, Value::Int(9), 0, &none);
+  EXPECT_EQ(none.size(), 0u);
+  RowSnapshot many;  // more rows than the inline slots
+  mem.Snapshot(0, &many);
+  ASSERT_EQ(many.size(), 20u);
+  for (size_t i = 0; i < many.size(); ++i) {
+    EXPECT_EQ(many[i].tuple.at(0).as_int(), static_cast<int64_t>(i % 4));
+  }
 }
 
 // --- A-TREAT network ---------------------------------------------------------
@@ -233,13 +364,12 @@ TEST_F(ATreatTest, JoinFiresForMatchingHouse) {
   int firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(1, House(100, "12 Oak St", 250000, 10, 2),
-                               [&](const std::vector<Tuple>& bindings) {
+                               [&](const Tuple* const* bindings) {
                                  ++firings;
-                                 ASSERT_EQ(bindings.size(), 3u);
-                                 EXPECT_EQ(bindings[0].at(1).as_string(),
+                                 EXPECT_EQ(bindings[0]->at(1).as_string(),
                                            "Iris");
-                                 EXPECT_EQ(bindings[1].at(0).as_int(), 100);
-                                 EXPECT_EQ(bindings[2].at(1).as_int(), 10);
+                                 EXPECT_EQ(bindings[1]->at(0).as_int(), 100);
+                                 EXPECT_EQ(bindings[2]->at(1).as_int(), 10);
                                })
                   .ok());
   EXPECT_EQ(firings, 1);
@@ -248,7 +378,7 @@ TEST_F(ATreatTest, JoinFiresForMatchingHouse) {
   firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(1, House(101, "9 Elm", 100000, 12, 2),
-                               [&](const std::vector<Tuple>&) { ++firings; })
+                               [&](const Tuple* const*) { ++firings; })
                   .ok());
   EXPECT_EQ(firings, 0);
 
@@ -256,7 +386,7 @@ TEST_F(ATreatTest, JoinFiresForMatchingHouse) {
   firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(1, House(102, "1 Pine", 50000, 99, 1),
-                               [&](const std::vector<Tuple>&) { ++firings; })
+                               [&](const Tuple* const*) { ++firings; })
                   .ok());
   EXPECT_EQ(firings, 0);
 }
@@ -279,7 +409,7 @@ TEST_F(ATreatTest, MultipleJoinCombinations) {
                   ->MatchJoins(0,
                                Tuple({Value::Int(1), Value::String("Iris"),
                                       Value::String("555")}),
-                               [&](const std::vector<Tuple>&) { ++firings; })
+                               [&](const Tuple* const*) { ++firings; })
                   .ok());
   EXPECT_EQ(firings, 2);  // houses 1 and 2, not Sam's house 3
 }
@@ -297,9 +427,9 @@ TEST_F(ATreatTest, SingleVariableTriggerFiresDirectly) {
   int firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(0, House(7, "x", 50000, 1, 1),
-                               [&](const std::vector<Tuple>& b) {
+                               [&](const Tuple* const* b) {
                                  ++firings;
-                                 EXPECT_EQ(b.size(), 1u);
+                                 EXPECT_EQ(b[0]->at(0).as_int(), 7);
                                })
                   .ok());
   EXPECT_EQ(firings, 1);
@@ -324,13 +454,13 @@ TEST_F(ATreatTest, CatchAllConjunctFiltersFirings) {
   int firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(1, House(5, "x", 1, 10, 1),
-                               [&](const std::vector<Tuple>&) { ++firings; })
+                               [&](const Tuple* const*) { ++firings; })
                   .ok());
   EXPECT_EQ(firings, 1);  // 11 > 5
   firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(1, House(50, "x", 1, 10, 1),
-                               [&](const std::vector<Tuple>&) { ++firings; })
+                               [&](const Tuple* const*) { ++firings; })
                   .ok());
   EXPECT_EQ(firings, 0);  // 11 > 50 fails
 }
@@ -351,7 +481,8 @@ TEST_F(ATreatTest, JoinErrorSurfacesFromMatchJoins) {
   ASSERT_TRUE(cnf.ok());
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
+  auto net = ATreatNetwork::Build(
+      *graph, nullptr, schemas, ATreatNetwork::PrivateMemories(*graph, nullptr));
   ASSERT_TRUE(net.ok());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE((*net)->AddTuple(0, Tuple({Value::Int(1)})).ok());
@@ -360,7 +491,7 @@ TEST_F(ATreatTest, JoinErrorSurfacesFromMatchJoins) {
   ASSERT_TRUE((*net)->AddTuple(1, arriving).ok());
   int firings = 0;
   Status s = (*net)->MatchJoins(
-      1, arriving, [&](const std::vector<Tuple>&) { ++firings; });
+      1, arriving, [&](const Tuple* const*) { ++firings; });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.message(), "integer division by zero");
   EXPECT_EQ(firings, 0);
@@ -378,7 +509,7 @@ TEST_F(ATreatTest, DisconnectedVariableMakesCartesianProduct) {
   int firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(0, House(1, "x", 1, 1, 1),
-                               [&](const std::vector<Tuple>&) { ++firings; })
+                               [&](const Tuple* const*) { ++firings; })
                   .ok());
   EXPECT_EQ(firings, 2);  // two salespersons
 }

@@ -825,7 +825,9 @@ TEST(NetworkPropertyTest, ATreatMatchesNaiveReference) {
       ASSERT_TRUE(cnf.ok());
       auto graph = ConditionGraph::Build(vars, *cnf);
       ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-      auto atreat = ATreatNetwork::Build(*graph, &db, schemas);
+      auto atreat =
+          ATreatNetwork::Build(*graph, &db, schemas,
+                               ATreatNetwork::PrivateMemories(*graph, &db));
       ASSERT_TRUE(atreat.ok()) << atreat.status().ToString();
       for (size_t v = 0; v < num_vars; ++v) {
         ASSERT_EQ((*atreat)->node_stored(static_cast<NetworkNodeId>(v)),
@@ -866,9 +868,14 @@ TEST(NetworkPropertyTest, ATreatMatchesNaiveReference) {
             ASSERT_TRUE((*atreat)->AddTuple(node, t).ok());
             ASSERT_TRUE((*atreat)
                             ->MatchJoins(node, t,
-                                         [&](const std::vector<Tuple>& b) {
+                                         [&](const Tuple* const* b) {
+                                           std::vector<Tuple> row;
+                                           for (size_t v = 0; v < num_vars;
+                                                ++v) {
+                                             row.push_back(*b[v]);
+                                           }
                                            firings.insert(
-                                               NaiveJoinReference::Encode(b));
+                                               NaiveJoinReference::Encode(row));
                                          })
                             .ok());
           }

@@ -14,6 +14,30 @@
 namespace tman {
 namespace {
 
+/// Visits the rows of `mem` with seq >= `since`; `fn` returning false
+/// stops.
+template <typename Fn>
+void ForEach(const AlphaMemory& mem, Fn fn, uint64_t since = 0) {
+  RowSnapshot rows;
+  mem.Snapshot(since, &rows);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!fn(rows[i].tuple)) return;
+  }
+}
+
+/// Visits the rows of `mem` with seq >= `since` whose `field` equals
+/// `value`.
+template <typename Fn>
+void ProbeEqual(const AlphaMemory& mem, size_t field, const Value& value,
+                Fn fn, uint64_t since = 0) {
+  RowSnapshot rows;
+  mem.SnapshotEqual(field, value, since, &rows);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!fn(rows[i].tuple)) return;
+  }
+}
+
+
 TEST(StressTest, CreateTriggersWhileMatching) {
   // Exclusive-lock trigger creation must interleave safely with
   // shared-lock matching from concurrent "driver" threads.
@@ -255,7 +279,7 @@ TEST(StressTest, AlphaMemoryConcurrentMutation) {
           mem.Remove(tuple);
         }
         if (i % 16 == 0) {
-          mem.ProbeEqual(0, Value::Int(rng.UniformRange(0, 50)),
+          ProbeEqual(mem, 0, Value::Int(rng.UniformRange(0, 50)),
                          [](const Tuple&) { return true; });
         }
       }
@@ -264,7 +288,7 @@ TEST(StressTest, AlphaMemoryConcurrentMutation) {
   for (auto& th : threads) th.join();
   // Consistency: ForEach count equals size().
   size_t counted = 0;
-  mem.ForEach([&counted](const Tuple&) {
+  ForEach(mem, [&counted](const Tuple&) {
     ++counted;
     return true;
   });

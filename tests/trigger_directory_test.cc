@@ -12,7 +12,9 @@ using D = TriggerDirectory;
 std::shared_ptr<const FiringPlan> Maintaining(
     std::vector<DataSourceId> sources) {
   auto plan = std::make_shared<FiringPlan>();
-  plan->maintained_sources = std::move(sources);
+  auto state = std::make_unique<TriggerState>();
+  state->sources = std::move(sources);
+  plan->state = std::move(state);
   return plan;
 }
 

@@ -543,13 +543,14 @@ TEST_F(TriggerManagerTest, LocalTableJoinTokensPinEachTriggerOnce) {
     EXPECT_EQ(lookups() - before, 8u) << "dept " << d;
   }
   // An aggregate on emp makes emp tokens run the maintenance pass. It
-  // pins the aggregate, and still none of the joins.
+  // reaches the aggregate's groups through its firing plan, so it pins
+  // nothing: neither the aggregate nor any join.
   Exec("create trigger crowded from emp group by emp.dept "
        "having count(emp.name) >= 100 do raise event Crowded(emp.dept)");
   before = lookups();
   InsertEmp("z", 1, 0);
   ASSERT_TRUE(tman_->ProcessPending().ok());
-  EXPECT_EQ(lookups() - before, 9u);
+  EXPECT_EQ(lookups() - before, 8u);
   std::multiset<std::string> fired, expected = {"E0 x 100", "E0 z 100"};
   for (const Event& e : tman_->events().History()) {
     fired.insert(e.name + " " + e.args[0].as_string() + " " +
@@ -573,14 +574,17 @@ TEST_F(TriggerManagerTest, AggregateStateSurvivesCacheEviction) {
     Exec("create trigger s" + std::to_string(i) +
          " from emp on insert do raise event Seen()");
   }
-  // Selection triggers never pin; this join trigger's pins are what
-  // evict the aggregate.
+  // The aggregate's groups live in its firing plan and it never enters
+  // the cache; selection triggers never pin either. These two join
+  // triggers' pins churn the one-slot cache around it.
   CreateDeptTable();
   InsertDept(1, 10);
   InsertDept(2, 20);
   ASSERT_TRUE(tman_->ProcessPending().ok());
   Exec("create trigger located from emp e, dept d on insert to e "
        "when e.dept = d.id do raise event Located(e.name, d.floor)");
+  Exec("create trigger placed from emp e, dept d on insert to e "
+       "when e.dept = d.id do raise event Placed(e.name)");
   std::vector<std::pair<int64_t, int64_t>> crowded;  // (dept, count)
   tman_->events().Register("Crowded", [&](const Event& e) {
     crowded.emplace_back(e.args[0].as_int(), e.args[1].as_int());
@@ -610,6 +614,111 @@ TEST_F(TriggerManagerTest, AggregateStateSurvivesCacheEviction) {
   Exec("enable trigger crowded");
   insert("h", 2);
   EXPECT_EQ(crowded, (Firings{{1, 3}, {2, 3}}));
+}
+
+TEST_F(TriggerManagerTest, StreamJoinMemoriesSurviveCacheEviction) {
+  // A join trigger's stored memories belong to its firing plan, not its
+  // cached runtime, so evicting the runtime loses no row: the cache's
+  // capacity cannot change what fires.
+  auto run = [&](size_t capacity) {
+    TriggerManagerOptions options;
+    options.trigger_cache_capacity = capacity;
+    Reset(options);
+    Schema schema({{"k", DataType::kInt}, {"id", DataType::kInt}});
+    auto sa = tman_->DefineStreamSource("sa", schema);
+    auto sb = tman_->DefineStreamSource("sb", schema);
+    EXPECT_TRUE(sa.ok() && sb.ok());
+    for (int i = 0; i < 4; ++i) {
+      Exec("create trigger j" + std::to_string(i) +
+           " from sa x, sb y when x.k = y.k do raise event J" +
+           std::to_string(i) + "(x.id, y.id)");
+    }
+    for (int64_t k = 0; k < 4; ++k) {
+      EXPECT_TRUE(tman_
+                      ->SubmitUpdate(UpdateDescriptor::Insert(
+                          *sa, Tuple({Value::Int(k), Value::Int(10 + k)})))
+                      .ok());
+      EXPECT_TRUE(tman_->ProcessPending().ok());
+    }
+    for (int64_t k = 0; k < 4; ++k) {
+      EXPECT_TRUE(tman_
+                      ->SubmitUpdate(UpdateDescriptor::Insert(
+                          *sb, Tuple({Value::Int(k), Value::Int(20 + k)})))
+                      .ok());
+      EXPECT_TRUE(tman_->ProcessPending().ok());
+    }
+    std::multiset<std::string> fired;
+    for (const Event& e : tman_->events().History()) {
+      fired.insert(e.name + " " + std::to_string(e.args[0].as_int()) + " " +
+                   std::to_string(e.args[1].as_int()));
+    }
+    return fired;
+  };
+  std::multiset<std::string> expected;
+  for (int i = 0; i < 4; ++i) {
+    for (int k = 0; k < 4; ++k) {
+      expected.insert("J" + std::to_string(i) + " " + std::to_string(10 + k) +
+                      " " + std::to_string(20 + k));
+    }
+  }
+  EXPECT_EQ(run(1000), expected);
+  EXPECT_EQ(run(1), expected);
+  EXPECT_GT(tman_->cache().stats().evictions, 0u);
+}
+
+TEST_F(TriggerManagerTest, JoinTriggersShareOneMemoryPerSelection) {
+  // durable_mixed's join shape: 200 triggers over 12 categories per side
+  // have 12 distinct selections on each source, so 24 shared memories
+  // serve 400 stored nodes.
+  TriggerManagerOptions options;
+  options.persistent_queue = false;
+  Reset(options);
+  Schema schema({{"id", DataType::kInt},
+                 {"k", DataType::kInt},
+                 {"cat", DataType::kInt},
+                 {"v", DataType::kInt}});
+  auto orders = tman_->DefineStreamSource("orders", schema);
+  auto fills = tman_->DefineStreamSource("fills", schema);
+  ASSERT_TRUE(orders.ok() && fills.ok());
+  constexpr int kCats = 12;
+  for (int i = 0; i < 200; ++i) {
+    std::string cond = "r.k = s.k and r.cat = " + std::to_string(i % kCats) +
+                       " and s.cat = " + std::to_string((i / kCats) % kCats);
+    if ((i / kCats) % 2 == 1) cond += " and r.v > s.v";
+    Exec("create trigger j" + std::to_string(i) +
+         " from orders r, fills s when " + cond +
+         " do raise event J(r.id, s.id)");
+  }
+  AlphaMemoryStats st = tman_->stats().alpha;
+  EXPECT_EQ(st.memories, 24u);
+  EXPECT_EQ(st.nodes, 400u);
+  EXPECT_EQ(st.rows, 0u);
+
+  // One orders row of category 3 is stored once, whatever the number of
+  // triggers whose r-node selects it.
+  ASSERT_TRUE(tman_
+                  ->SubmitUpdate(UpdateDescriptor::Insert(
+                      *orders, Tuple({Value::Int(1), Value::Int(7),
+                                      Value::Int(3), Value::Int(5)})))
+                  .ok());
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  EXPECT_EQ(tman_->stats().alpha.rows, 1u);
+  auto text = tman_->ExecuteCommand("stats");
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("alpha: memories=24 rows=1 nodes=400"),
+            std::string::npos)
+      << *text;
+
+  // A selection's memory goes when its last stored node does.
+  for (int i = 0; i < 200; ++i) {
+    if (i % kCats == 3) Exec("drop trigger j" + std::to_string(i));
+  }
+  st = tman_->stats().alpha;
+  EXPECT_EQ(st.memories, 23u);
+  EXPECT_EQ(st.rows, 0u);
+  int dropped = 0;
+  for (int i = 0; i < 200; ++i) dropped += i % kCats == 3;
+  EXPECT_EQ(st.nodes, 400u - 2 * dropped);
 }
 
 TEST_F(TriggerManagerTest, SelectionTriggersFireWithoutTheCache) {
