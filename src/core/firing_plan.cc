@@ -1,6 +1,5 @@
 #include "core/firing_plan.h"
 
-#include "core/aggregates.h"
 #include "core/trigger.h"
 #include "expr/eval.h"
 #include "expr/rewrite.h"
@@ -85,7 +84,8 @@ Status FiringPlan::EvalArgs(const ActionContext& ctx,
 }
 
 std::shared_ptr<const FiringPlan> ActionTemplates::MakePlan(
-    const TriggerRuntime& trigger, std::unique_ptr<TriggerState> state) {
+    const TriggerRuntime& trigger, std::unique_ptr<TriggerState> state,
+    const AggregateClauses* aggregate) {
   auto plan = std::make_shared<FiringPlan>();
   plan->name = trigger.name;
   plan->network =
@@ -99,17 +99,14 @@ std::shared_ptr<const FiringPlan> ActionTemplates::MakePlan(
     action->vars.push_back({nodes[i].info.var, nodes[i].info.source_name,
                             trigger.network->node_schema(i)});
   }
-  const GroupByEvaluator* aggregate =
-      state == nullptr ? nullptr : state->aggregate.get();
   if (spec.kind == ActionKind::kExecSql) {
     action->sql = spec.sql;
   } else {
     action->event_name = spec.event_name;
     const std::vector<ExprPtr>* args = &spec.event_args;
     if (aggregate != nullptr) {
-      args = &aggregate->action_arg_templates();
-      plan->num_aggregates =
-          static_cast<uint32_t>(aggregate->num_aggregates());
+      args = &aggregate->action_args;
+      plan->num_aggregates = static_cast<uint32_t>(aggregate->calls.size());
     }
     for (const ExprPtr& arg : *args) {
       action->args.push_back(GeneralizeLiterals(

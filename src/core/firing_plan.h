@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/aggregates.h"
 #include "expr/compile.h"
 #include "network/alpha_memory.h"
 #include "parser/ast.h"
@@ -17,7 +18,6 @@
 
 namespace tman {
 
-class GroupByEvaluator;
 struct TriggerRuntime;
 
 /// One firing as its action sees it. A view: every pointer must outlive
@@ -46,8 +46,8 @@ struct ActionVar {
 /// with each literal replaced by a placeholder, so `S(t.id, 17)` and
 /// `S(t.id, 42)` share `S(t.id, CONSTANT_1)`. Placeholder numbering is
 /// the parameter vector of an evaluation: an aggregate trigger's k
-/// aggregate values come first (CONSTANT_1..k, from its group-by
-/// evaluator), then the trigger's own constants. Each argument is
+/// aggregate values come first (CONSTANT_1..k, from its aggregate
+/// shape), then the trigger's own constants. Each argument is
 /// compiled once; immutable and shared, so any thread may evaluate it.
 struct ActionTemplate {
   ActionKind kind = ActionKind::kRaiseEvent;
@@ -72,17 +72,19 @@ struct ActionTemplate {
 
 /// The state a trigger's tokens change, held by its firing plan so the
 /// maintenance pass reaches it without the trigger cache (§5.4): one
-/// shared stored alpha memory per stored node of a join, or the group-by
-/// state of an aggregate. Both outlive cache eviction; a reopen starts
-/// them empty.
+/// shared stored alpha memory per stored node of a join, or an
+/// aggregate's slot in its shared aggregate shape. Both outlive cache
+/// eviction; a reopen starts them empty.
 struct TriggerState {
   /// Aligned with the condition-graph nodes; a virtual node's memory is
   /// null.
   std::vector<AlphaMemoryRef> memories;
-  std::shared_ptr<GroupByEvaluator> aggregate;
-  /// The sources whose tokens change this state: one entry per stored
-  /// node, plus an aggregate's source. Each counts toward
-  /// TriggerDirectory::NeedsMaintenance while the trigger is installed.
+  /// An aggregate trigger's group state (shape null otherwise).
+  AggregateRef aggregate;
+  /// The sources of the stored nodes, one entry per node. Each counts
+  /// toward TriggerDirectory::NeedsMaintenance and HasStoredMemories
+  /// while the trigger is installed, as an aggregate's shape source
+  /// counts toward NeedsMaintenance.
   std::vector<DataSourceId> sources;
 
   /// The memory that tokens matched at `node` maintain; null for a
@@ -124,10 +126,12 @@ struct FiringPlan : std::enable_shared_from_this<FiringPlan> {
 class ActionTemplates {
  public:
   /// The plan of an installed trigger, holding `state` (may be null). An
-  /// aggregate's argument templates come from its group-by evaluator.
+  /// aggregate trigger passes its extracted clauses, whose action
+  /// arguments replace the command's.
   std::shared_ptr<const FiringPlan> MakePlan(
       const TriggerRuntime& trigger,
-      std::unique_ptr<TriggerState> state = nullptr);
+      std::unique_ptr<TriggerState> state = nullptr,
+      const AggregateClauses* aggregate = nullptr);
 
   /// Templates some live plan still uses.
   size_t size() const;

@@ -22,12 +22,15 @@ Status TriggerDirectory::Install(TriggerId id, uint64_t ts_id, uint32_t kind,
   if (ts_id >= kCapacity) return OutOfRange("trigger set", ts_id);
   kind &= kAggregate;
   if (plan != nullptr && plan->state != nullptr) {
-    for (DataSourceId source : plan->state->sources) {
+    const TriggerState& state = *plan->state;
+    for (DataSourceId source : state.sources) {
       if (source >= kCapacity) return OutOfRange("data source", source);
     }
-    for (DataSourceId source : plan->state->sources) {
-      maintained_.Ensure(source)->fetch_add(1, std::memory_order_relaxed);
+    if (state.aggregate.shape != nullptr &&
+        state.aggregate.shape->key().source >= kCapacity) {
+      return OutOfRange("data source", state.aggregate.shape->key().source);
     }
+    CountSources(*plan, +1);
   }
   Slot* slot = slots_.Ensure(id);
   slot->ts_id.store(static_cast<uint32_t>(ts_id), std::memory_order_relaxed);
@@ -44,15 +47,31 @@ uint32_t TriggerDirectory::Remove(TriggerId id,
   uint32_t flags = slot->flags.exchange(0, std::memory_order_acq_rel);
   slot->plan.store(nullptr, std::memory_order_release);
   if (slot->owner != nullptr && slot->owner->state != nullptr) {
-    for (DataSourceId source : slot->owner->state->sources) {
-      std::atomic<uint32_t>* count = maintained_.FindMutable(source);
-      uint32_t n = count->load(std::memory_order_relaxed);
-      if (n > 0) count->store(n - 1, std::memory_order_relaxed);
-    }
+    CountSources(*slot->owner, -1);
   }
   if (plan != nullptr) *plan = std::move(slot->owner);
   slot->owner.reset();
   return flags;
+}
+
+void TriggerDirectory::CountSources(const FiringPlan& plan, int delta) {
+  auto count = [delta](Counts* counts, DataSourceId source) {
+    std::atomic<uint32_t>* n = counts->Ensure(source);
+    const uint32_t was = n->load(std::memory_order_relaxed);
+    if (delta > 0) {
+      n->store(was + 1, std::memory_order_relaxed);
+    } else if (was > 0) {
+      n->store(was - 1, std::memory_order_relaxed);
+    }
+  };
+  const TriggerState& state = *plan.state;
+  for (DataSourceId source : state.sources) {
+    count(&maintained_, source);
+    count(&stored_, source);
+  }
+  if (state.aggregate.shape != nullptr) {
+    count(&maintained_, state.aggregate.shape->key().source);
+  }
 }
 
 void TriggerDirectory::SetEnabled(TriggerId id, bool enabled) {

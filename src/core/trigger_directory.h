@@ -81,16 +81,22 @@ class TriggerDirectory {
 
   /// True when some live trigger on `source` needs the maintenance pass.
   bool NeedsMaintenance(DataSourceId source) const {
-    const std::atomic<uint32_t>* count = maintained_.Find(source);
-    return count != nullptr && count->load(std::memory_order_relaxed) > 0;
+    return Positive(maintained_, source);
+  }
+
+  /// True when the maintenance pass of a `source` token changes stored
+  /// alpha memories, which a later token's fire pass may read.
+  bool HasStoredMemories(DataSourceId source) const {
+    return Positive(stored_, source);
   }
 
   // --- writers (serialized by the caller) -----------------------------------
 
   /// Publishes a live, enabled trigger and its firing plan. `kind` is
   /// kAggregate or 0; each entry of the plan's state `sources` counts
-  /// once toward NeedsMaintenance. Changes nothing when an id is
-  /// out of range.
+  /// once toward NeedsMaintenance and HasStoredMemories, and an
+  /// aggregate's source once toward NeedsMaintenance. Changes nothing
+  /// when an id is out of range.
   Status Install(TriggerId id, uint64_t ts_id, uint32_t kind,
                  std::shared_ptr<const FiringPlan> plan = nullptr);
 
@@ -151,9 +157,21 @@ class TriggerDirectory {
     std::array<std::atomic<T*>, kMaxChunks> chunks_{};
   };
 
+  using Counts = ChunkedTable<std::atomic<uint32_t>>;
+
+  static bool Positive(const Counts& counts, DataSourceId source) {
+    const std::atomic<uint32_t>* count = counts.Find(source);
+    return count != nullptr && count->load(std::memory_order_relaxed) > 0;
+  }
+
+  /// Adds `delta` (+1 or -1, never below 0) to the counts of the plan's
+  /// maintained sources.
+  void CountSources(const FiringPlan& plan, int delta);
+
   ChunkedTable<Slot> slots_;
   ChunkedTable<std::atomic<bool>> set_disabled_;  // zero = enabled
-  ChunkedTable<std::atomic<uint32_t>> maintained_;
+  Counts maintained_;
+  Counts stored_;
 };
 
 }  // namespace tman

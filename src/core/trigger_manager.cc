@@ -324,11 +324,12 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   return runtime;
 }
 
-void TriggerManager::DetachMemories(const TriggerState* state) {
+void TriggerManager::DetachState(const TriggerState* state) {
   if (state == nullptr) return;
   for (const AlphaMemoryRef& ref : state->memories) {
     if (ref.memory != nullptr) alpha_memories_.Detach(ref);
   }
+  aggregate_shapes_.Detach(state->aggregate);
 }
 
 Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
@@ -346,7 +347,7 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
   std::vector<ExprId> expr_ids;
   auto fail = [&](Status s) {
     for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
-    DetachMemories(state.get());
+    DetachState(state.get());
     return s;
   };
 
@@ -405,22 +406,30 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
   if (!network.ok()) return fail(network.status());
   runtime->network = std::move(*network);
 
-  // Aggregate triggers: the group-by evaluator lives in the plan beside
-  // any memories (reset on reopen — the paper leaves durable aggregate
-  // state as future work).
+  // Aggregate triggers: a slot in the shared shape of their group by and
+  // aggregate calls, maintained by the partition that matches their one
+  // predicate (reset on reopen — the paper leaves durable aggregate state
+  // as future work).
+  std::optional<AggregateClauses> clauses;
   if (!runtime->cmd.group_by.empty()) {
-    auto ev = GroupByEvaluator::Create(
-        nodes[0].info.var, schemas[0], runtime->cmd.group_by,
+    auto extracted = AggregateClauses::Extract(
         runtime->cmd.having, runtime->cmd.action.event_args);
-    if (!ev.ok()) return fail(ev.status());
-    state->aggregate = std::move(*ev);
-    state->sources.push_back(nodes[0].info.source_id);
+    if (!extracted.ok()) return fail(extracted.status());
+    clauses = std::move(*extracted);
+    AggregateShapeKey key;
+    key.source = nodes[0].info.source_id;
+    key.partition = PartitionOf(expr_ids[0], parts);
+    key.var = nodes[0].info.var;
+    key.schema = schemas[0];
+    key.group_by = runtime->cmd.group_by;
+    key.calls = clauses->calls;
+    state->aggregate = aggregate_shapes_.Attach(key, clauses->having);
   }
 
-  const bool aggregate = state->aggregate != nullptr;
-  if (state->sources.empty()) state.reset();  // nothing to maintain
-  std::shared_ptr<const FiringPlan> plan =
-      action_templates_.MakePlan(*runtime, std::move(state));
+  const bool aggregate = clauses.has_value();
+  if (state->sources.empty() && !aggregate) state.reset();  // keeps nothing
+  std::shared_ptr<const FiringPlan> plan = action_templates_.MakePlan(
+      *runtime, std::move(state), aggregate ? &*clauses : nullptr);
   const bool pinned = plan->network;
   {
     std::unique_lock lock(meta_mutex_);
@@ -428,7 +437,7 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
         trigger_id, ts_id, aggregate ? TriggerDirectory::kAggregate : 0, plan);
     if (!s.ok()) {
       for (ExprId id : expr_ids) (void)pindex_->RemovePredicate(id);
-      DetachMemories(plan->state.get());
+      DetachState(plan->state.get());
       return s;
     }
     trigger_by_name_[runtime->name] = trigger_id;
@@ -491,7 +500,7 @@ Status TriggerManager::DropTrigger(const std::string& name) {
                       << s.ToString();
     }
   }
-  if (plan != nullptr) DetachMemories(plan->state.get());
+  if (plan != nullptr) DetachState(plan->state.get());
   cache_->Invalidate(id);
   return catalog_->DeleteTrigger(lname);
 }
@@ -740,6 +749,34 @@ void TriggerManager::Drain() { task_queue_.WaitIdle(); }
 
 namespace {
 
+/// A short run of trivially copyable values kept inline, then on the heap
+/// once it outgrows N.
+template <typename T, size_t N>
+class InlineVector {
+ public:
+  void push_back(const T& v) {
+    if (size_ == N) heap_.assign(inline_.begin(), inline_.end());
+    if (size_ >= N) {
+      heap_.push_back(v);
+    } else {
+      inline_[size_] = v;
+    }
+    ++size_;
+  }
+  void clear() {
+    size_ = 0;
+    heap_.clear();
+  }
+  T* data() { return size_ > N ? heap_.data() : inline_.data(); }
+  size_t size() const { return size_; }
+  T& operator[](size_t i) { return data()[i]; }
+
+ private:
+  std::array<T, N> inline_;
+  std::vector<T> heap_;
+  size_t size_ = 0;
+};
+
 /// The shared memories one tuple's maintenance already updated: every
 /// trigger with a selection matches it, but their memory changes once.
 /// A short inline list scanned in place, then a set once it fills.
@@ -773,30 +810,27 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
   // stored alpha memories of multi-variable triggers, or aggregate
   // groups). Matching here ignores event opcodes — state must track the
   // selection result regardless of which events fire the trigger. A
-  // virtual node keeps nothing. Each shared memory belongs to one
-  // condition partition (its key), so exactly one partition task of the
-  // token updates it.
+  // virtual node keeps nothing. Each shared memory and aggregate shape
+  // belongs to one condition partition (its key), so exactly one
+  // partition task of the token updates it.
   if (!directory_.NeedsMaintenance(token.data_source)) return Status::OK();
   auto maintain = [&](const Tuple& tuple, bool add) -> Status {
-    Status inner = Status::OK();
     UpdatedMemories updated;
-    TMAN_RETURN_IF_ERROR(pindex_->MatchMaintenance(
+    InlineVector<AggregateMatch, 128> aggregates;
+    return pindex_->MatchMaintenance(
         token.data_source, tuple, partition, num_partitions,
         [&](const PredicateMatch& m) {
-          if (!inner.ok()) return;
           // Read under the match's stripe lock (TriggerDirectory::Plan),
           // which keeps the plan and its state alive.
           const FiringPlan* plan = directory_.Plan(m.trigger_id);
           if (plan == nullptr || plan->state == nullptr) return;
           const TriggerState& state = *plan->state;
-          if (state.aggregate != nullptr) {
+          if (state.aggregate.shape != nullptr) {
             // A disabled aggregate's groups stay frozen.
             if ((directory_.Flags(m.trigger_id) &
-                 TriggerDirectory::kEnabled) == 0) {
-              return;
+                 TriggerDirectory::kEnabled) != 0) {
+              aggregates.push_back({plan, m.next_node});
             }
-            Status s = RunAggregateDelta(*plan, token, tuple, add, m.next_node);
-            if (!s.ok()) inner = s;
             return;
           }
           // Join memories track the selection even while the trigger is
@@ -808,8 +842,16 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
           } else {
             memory->Remove(tuple);
           }
-        }));
-    return inner;
+        },
+        // Still under the stripe lock, which keeps every matched plan and
+        // its aggregate slot alive.
+        [&]() {
+          return aggregates.size() == 0
+                     ? Status::OK()
+                     : RunAggregateDeltas(aggregates.data(),
+                                          aggregates.size(), token, tuple,
+                                          add);
+        });
   };
   if (token.old_tuple.has_value() &&
       (token.op == OpCode::kDelete || token.op == OpCode::kUpdate)) {
@@ -858,59 +900,82 @@ Status TriggerManager::ProcessTokenBatch(
 
   // Maintenance stays per token and in submission order: alpha-memory and
   // aggregate-group upkeep is stateful, so reordering across tokens would
-  // change join results. A token whose maintenance fails is excluded from
-  // the fire pass (the scalar pipeline would have returned before
-  // matching it) without stopping its batch-mates.
+  // change join results. For the same reason a token whose maintenance
+  // changes stored memories first fires the tokens before it (their
+  // joins must not see it, as in the scalar pipeline); the tokens between
+  // two such tokens share one batched fire pass. A token whose
+  // maintenance fails is excluded from the fire pass (the scalar pipeline
+  // would have returned before matching it) without stopping its
+  // batch-mates.
   std::vector<Status> lane_status(tokens.size());
-  bool any_failed = false;
-  {
-    StageTimer maintain_timer(&stage_metrics_, Stage::kMaintain,
-                              tokens.size());
-    for (size_t i = 0; i < tokens.size(); ++i) {
-      lane_status[i] = MaintainToken(tokens[i], partition, num_partitions);
-      if (!lane_status[i].ok()) any_failed = true;
-    }
-  }
-
-  const std::vector<UpdateDescriptor>* match_tokens = &tokens;
-  std::vector<UpdateDescriptor> filtered;
-  std::vector<uint32_t> lane_map;  // filtered lane -> original index
-  if (any_failed) {
-    for (uint32_t i = 0; i < tokens.size(); ++i) {
-      if (!lane_status[i].ok()) continue;
-      filtered.push_back(tokens[i]);
-      lane_map.push_back(i);
-    }
-    match_tokens = &filtered;
-  }
-
-  // One batched fire pass for the whole group: probes hashed per
-  // (stripe, source) group, rest-of-predicates through the batched VM.
-  if (!match_tokens->empty()) {
-    StageTimer match_timer(&stage_metrics_, Stage::kMatch,
-                           match_tokens->size());
-    std::vector<Status> match_status;
-    (void)pindex_->MatchBatch(
-        *match_tokens, partition, num_partitions,
-        [&](size_t lane, const PredicateMatch& m) {
-          size_t orig = any_failed ? lane_map[lane] : lane;
-          if (!lane_status[orig].ok()) return;
-          Status s = RunFiring(m, tokens[orig]);
-          if (!s.ok()) lane_status[orig] = s;
-        },
-        &match_status);
-    for (size_t lane = 0; lane < match_status.size(); ++lane) {
-      size_t orig = any_failed ? lane_map[lane] : lane;
-      if (lane_status[orig].ok() && !match_status[lane].ok()) {
-        lane_status[orig] = match_status[lane];
+  size_t begin = 0;  // first token not yet fired
+  while (begin < tokens.size()) {
+    size_t end = begin;
+    {
+      StageTimer maintain_timer(&stage_metrics_, Stage::kMaintain, 0);
+      for (; end < tokens.size(); ++end) {
+        if (end > begin &&
+            directory_.HasStoredMemories(tokens[end].data_source)) {
+          break;
+        }
+        lane_status[end] = MaintainToken(tokens[end], partition,
+                                         num_partitions);
       }
+      maintain_timer.set_items(end - begin);
     }
+    FireTokens(tokens, begin, end, partition, num_partitions, &lane_status);
+    begin = end;
   }
 
   for (const Status& s : lane_status) {
     if (!s.ok()) return s;
   }
   return Status::OK();
+}
+
+void TriggerManager::FireTokens(const std::vector<UpdateDescriptor>& tokens,
+                                size_t begin, size_t end, uint32_t partition,
+                                uint32_t num_partitions,
+                                std::vector<Status>* lane_status) {
+  std::vector<Status>& status = *lane_status;
+  // The whole batch when it fires at once with no failure; otherwise a
+  // copy of the tokens to fire, each lane mapped to its token.
+  const std::vector<UpdateDescriptor>* match_tokens = &tokens;
+  std::vector<UpdateDescriptor> subset;
+  std::vector<size_t> lane_map;
+  bool whole = begin == 0 && end == tokens.size();
+  for (size_t i = begin; i < end && whole; ++i) whole = status[i].ok();
+  if (!whole) {
+    for (size_t i = begin; i < end; ++i) {
+      if (!status[i].ok()) continue;
+      subset.push_back(tokens[i]);
+      lane_map.push_back(i);
+    }
+    if (subset.empty()) return;
+    match_tokens = &subset;
+  }
+  auto token_of = [&](size_t lane) { return whole ? lane : lane_map[lane]; };
+
+  // One batched fire pass: probes hashed per (stripe, source) group,
+  // rest-of-predicates through the batched VM.
+  StageTimer match_timer(&stage_metrics_, Stage::kMatch,
+                         match_tokens->size());
+  std::vector<Status> match_status;
+  (void)pindex_->MatchBatch(
+      *match_tokens, partition, num_partitions,
+      [&](size_t lane, const PredicateMatch& m) {
+        const size_t i = token_of(lane);
+        if (!status[i].ok()) return;
+        Status s = RunFiring(m, tokens[i]);
+        if (!s.ok()) status[i] = s;
+      },
+      &match_status);
+  for (size_t lane = 0; lane < match_status.size(); ++lane) {
+    const size_t i = token_of(lane);
+    if (status[i].ok() && !match_status[lane].ok()) {
+      status[i] = match_status[lane];
+    }
+  }
 }
 
 Status TriggerManager::RunFiring(const PredicateMatch& match,
@@ -983,23 +1048,49 @@ void TriggerManager::RunAction(const FiringPlan& plan,
   }
 }
 
-Status TriggerManager::RunAggregateDelta(const FiringPlan& plan,
-                                         const UpdateDescriptor& token,
-                                         const Tuple& tuple, bool add,
-                                         NetworkNodeId arrival_node) {
-  TMAN_ASSIGN_OR_RETURN(auto firings,
-                        plan.state->aggregate->ApplyDelta(tuple, add));
+Status TriggerManager::RunAggregateDeltas(const AggregateMatch* matches,
+                                          size_t n,
+                                          const UpdateDescriptor& token,
+                                          const Tuple& tuple, bool add) {
+  // Each shape takes the tuple once, for the slots of all of its matches
+  // (in match order); usually every match shares one shape.
+  InlineVector<const AggregateShape*, 8> applied;
+  InlineVector<uint32_t, 128> slots;
+  InlineVector<uint32_t, 128> owners;  // slots[i]'s index in `matches`
+  std::vector<AggregateShape::Firing> firings;  // allocated only to fire
   const Tuple* binding = &tuple;
-  for (const GroupByEvaluator::Firing& firing : firings) {
-    rule_firings_.fetch_add(1, std::memory_order_relaxed);
-    // The group's aggregate values lead the action's parameters.
-    Status s = actions_->Execute(
-        plan, ActionContext{&binding, &token, arrival_node,
-                            &firing.agg_values});
-    if (!s.ok()) {
-      TMAN_LOG(kWarn) << "aggregate action of trigger " << plan.name
-                      << " failed: " << s.ToString();
+  for (size_t first = 0; first < n; ++first) {
+    AggregateShape* shape =
+        matches[first].plan->state->aggregate.shape.get();
+    const AggregateShape** seen = applied.data();
+    if (std::find(seen, seen + applied.size(), shape) !=
+        seen + applied.size()) {
+      continue;
     }
+    applied.push_back(shape);
+    slots.clear();
+    owners.clear();
+    for (size_t i = first; i < n; ++i) {
+      const AggregateRef& ref = matches[i].plan->state->aggregate;
+      if (ref.shape.get() != shape) continue;
+      slots.push_back(ref.slot);
+      owners.push_back(static_cast<uint32_t>(i));
+    }
+    firings.clear();
+    Status status =
+        shape->Apply(tuple, add, slots.data(), slots.size(), &firings);
+    for (const AggregateShape::Firing& firing : firings) {
+      const AggregateMatch& m = matches[owners[firing.index]];
+      rule_firings_.fetch_add(1, std::memory_order_relaxed);
+      // The group's aggregate values lead the action's parameters.
+      Status s = actions_->Execute(
+          *m.plan, ActionContext{&binding, &token, m.node, &firing.values});
+      if (!s.ok()) {
+        TMAN_LOG(kWarn) << "aggregate action of trigger " << m.plan->name
+                        << " failed: " << s.ToString();
+      }
+    }
+    TMAN_RETURN_IF_ERROR(status);
   }
   return Status::OK();
 }
@@ -1061,6 +1152,7 @@ TriggerManagerStats TriggerManager::stats() const {
   st.cache = cache_->stats();
   st.predicates = pindex_->stats();
   st.alpha = alpha_memories_.stats();
+  st.aggregates = aggregate_shapes_.stats();
   if (wal_enabled()) {
     st.wal = log_.wal()->stats();
     st.wal_pending_tokens = log_.PendingTokens();
@@ -1086,6 +1178,9 @@ std::string TriggerManager::StatsText() const {
   out += "alpha: memories=" + std::to_string(st.alpha.memories) +
          " rows=" + std::to_string(st.alpha.rows) +
          " nodes=" + std::to_string(st.alpha.nodes) + "\n";
+  out += "aggregates: shapes=" + std::to_string(st.aggregates.shapes) +
+         " triggers=" + std::to_string(st.aggregates.triggers) +
+         " groups=" + std::to_string(st.aggregates.groups) + "\n";
   out += st.stages.ToString();
   out += "adapt: rounds=" + std::to_string(st.adapt_rounds) +
          " switches=" + std::to_string(st.adapt_switches) +

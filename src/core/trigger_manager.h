@@ -102,6 +102,7 @@ struct TriggerManagerStats {
   TriggerCacheStats cache;
   PredicateIndexStats predicates;
   AlphaMemoryStats alpha;            // shared stored alpha memories
+  AggregateShapeStats aggregates;    // shared aggregate shapes
   WalStats wal;                      // zeroes in memory mode
   uint64_t wal_pending_tokens = 0;   // durable tokens not yet processed
   /// Live per-stage latency/throughput + queue depth (tentpole part a).
@@ -319,8 +320,10 @@ class TriggerManager {
       std::vector<Schema>* schemas);
 
   /// Detaches a removed (or never installed) trigger's stored nodes from
-  /// their shared memories.
-  void DetachMemories(const TriggerState* state);
+  /// their shared memories and its aggregate from its shape. A removed
+  /// trigger's predicates must be gone first, so no maintenance pass can
+  /// still reach its aggregate slot.
+  void DetachState(const TriggerState* state);
 
   /// Token pipeline (§5.4): memory maintenance + fire matching + joins +
   /// action execution for one partition of the predicate index.
@@ -328,19 +331,29 @@ class TriggerManager {
                       uint32_t num_partitions);
 
   /// Batched token pipeline: the maintenance pass runs per token (alpha
-  /// memory upkeep is stateful and order-sensitive), then ALL tokens go
+  /// memory upkeep is stateful and order-sensitive), then the tokens go
   /// through one PredicateIndex::MatchBatch fire pass — grouped probe
   /// hashing and batched rest-of-predicate eval — with per-lane error
-  /// isolation (a failing token never stops its batch-mates). Firing
-  /// order per token is exactly the scalar order. Returns the first
-  /// per-token error.
+  /// isolation (a failing token never stops its batch-mates). A token
+  /// whose maintenance changes stored alpha memories first fires the
+  /// tokens before it, so each token's joins see the memories the scalar
+  /// pipeline would show them; a batch with no such token keeps one fire
+  /// pass. Firing order per token is exactly the scalar order. Returns
+  /// the first per-token error.
   Status ProcessTokenBatch(const std::vector<UpdateDescriptor>& tokens,
                            uint32_t partition, uint32_t num_partitions);
+
+  /// The fire pass of ProcessTokenBatch over tokens[begin, end) whose
+  /// `lane_status` is still OK; a failure lands in the token's lane.
+  void FireTokens(const std::vector<UpdateDescriptor>& tokens, size_t begin,
+                  size_t end, uint32_t partition, uint32_t num_partitions,
+                  std::vector<Status>* lane_status);
 
   /// The maintenance pass of ProcessToken (stored alpha memories,
   /// aggregate group state), shared by the scalar and batched pipelines.
   /// Reaches each trigger's state through its firing plan, never the
-  /// trigger cache, and updates each shared memory once per tuple.
+  /// trigger cache, and updates each shared memory and each aggregate
+  /// shape once per tuple.
   Status MaintainToken(const UpdateDescriptor& token, uint32_t partition,
                        uint32_t num_partitions);
 
@@ -354,13 +367,21 @@ class TriggerManager {
   /// concurrent_actions, as its own task.
   void RunAction(const FiringPlan& plan, const ActionContext& ctx);
 
+  /// One aggregate trigger a tuple's maintenance matched.
+  struct AggregateMatch {
+    const FiringPlan* plan;
+    NetworkNodeId node;
+  };
+
   /// Aggregate-trigger path (driven from token maintenance, so deletes
-  /// and updates reach group state regardless of the event clause): apply
-  /// one tuple delta to the group-by evaluator and run the action for
-  /// every group whose having condition just became true.
-  Status RunAggregateDelta(const FiringPlan& plan,
-                           const UpdateDescriptor& token, const Tuple& tuple,
-                           bool add, NetworkNodeId arrival_node);
+  /// and updates reach group state regardless of the event clause):
+  /// applies one tuple delta to the shapes of the matched aggregate
+  /// triggers, each shape once for all of its matches, and runs the
+  /// action for every group whose having condition just became true.
+  /// Must run under the stripe lock the matches came from.
+  Status RunAggregateDeltas(const AggregateMatch* matches, size_t n,
+                            const UpdateDescriptor& token, const Tuple& tuple,
+                            bool add);
 
   /// Loader installed into the trigger cache; re-attaches the stored
   /// memories the trigger's firing plan holds.
@@ -408,6 +429,9 @@ class TriggerManager {
   // One stored alpha memory per distinct join selection, attached to by
   // every stored node with that selection and held by their plans.
   AlphaMemoryRegistry alpha_memories_;
+  // One aggregate shape per distinct (source, partition, group by,
+  // aggregate calls), holding a slot per aggregate trigger.
+  AggregateShapeRegistry aggregate_shapes_;
   // Per-match dispatch state and firing plans, read lock-free by the
   // token pipeline. DDL updates it under meta_mutex_'s exclusive lock.
   TriggerDirectory directory_;

@@ -208,12 +208,15 @@ Status PredicateIndex::MatchBatch(
 Status PredicateIndex::MatchMaintenance(
     DataSourceId data_source, const Tuple& tuple, uint32_t partition,
     uint32_t num_partitions,
-    const std::function<void(const PredicateMatch&)>& fn) const {
+    const std::function<void(const PredicateMatch&)>& fn,
+    const std::function<Status()>& done) const {
   Stripe& stripe = StripeFor(data_source);
   std::shared_lock lock(stripe.mutex);
   auto it = stripe.sources.find(data_source);
   if (it == stripe.sources.end()) return Status::OK();
-  return it->second->MatchTuple(tuple, partition, num_partitions, fn);
+  TMAN_RETURN_IF_ERROR(
+      it->second->MatchTuple(tuple, partition, num_partitions, fn));
+  return done == nullptr ? Status::OK() : done();
 }
 
 PredicateIndexStats PredicateIndex::stats() const {

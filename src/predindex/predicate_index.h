@@ -122,11 +122,14 @@ class PredicateIndex {
 
   /// Maintenance matching: selection predicates only (no event filters),
   /// against a bare tuple of the given source. Drives A-TREAT alpha
-  /// memory upkeep for updates and deletes.
+  /// memory upkeep for updates and deletes. `done` (optional) runs after
+  /// the last match under the same stripe lock, so what `fn` gathered
+  /// about the matched triggers stays valid in it.
   Status MatchMaintenance(
       DataSourceId data_source, const Tuple& tuple, uint32_t partition,
       uint32_t num_partitions,
-      const std::function<void(const PredicateMatch&)>& fn) const;
+      const std::function<void(const PredicateMatch&)>& fn,
+      const std::function<Status()>& done = nullptr) const;
 
   PredicateIndexStats stats() const;
 

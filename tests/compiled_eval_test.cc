@@ -421,11 +421,17 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
     ASSERT_TRUE(ExecuteSql(&sqldb, stmt).ok()) << stmt;
   }
 
-  // Group-by evaluator with a parameterized having clause.
-  auto group = Parse("e.dept");
-  auto having = Parse("count(e.dept) >= 2 and sum(e.salary) > 100");
-  auto ev = GroupByEvaluator::Create("e", emp, {group}, having, {});
-  ASSERT_TRUE(ev.ok()) << ev.status().ToString();
+  // Aggregate shape with a parameterized having clause.
+  auto clauses = AggregateClauses::Extract(
+      Parse("count(e.dept) >= 2 and sum(e.salary) > 100"), {});
+  ASSERT_TRUE(clauses.ok()) << clauses.status().ToString();
+  AggregateShapeKey key;
+  key.var = "e";
+  key.schema = emp;
+  key.group_by = {Parse("e.dept")};
+  key.calls = clauses->calls;
+  AggregateShape shape(std::move(key));
+  const uint32_t slot = shape.Attach(clauses->having);
 
   const uint64_t before = InterpreterEvalCalls();
 
@@ -461,10 +467,11 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
 
   // 4. Group-by/having evaluation.
   for (int i = 0; i < 6; ++i) {
-    auto fired = ev->get()->ApplyDelta(
+    std::vector<AggregateShape::Firing> fired;
+    Status s = shape.Apply(
         Tuple({Value::String("x"), Value::Float(60000), Value::Int(i % 2)}),
-        /*add=*/true);
-    ASSERT_TRUE(fired.ok()) << fired.status().ToString();
+        /*add=*/true, &slot, 1, &fired);
+    ASSERT_TRUE(s.ok()) << s.ToString();
   }
 
   EXPECT_EQ(InterpreterEvalCalls() - before, 0u)

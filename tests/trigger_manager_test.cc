@@ -721,6 +721,84 @@ TEST_F(TriggerManagerTest, JoinTriggersShareOneMemoryPerSelection) {
   EXPECT_EQ(st.nodes, 400u - 2 * dropped);
 }
 
+TEST_F(TriggerManagerTest, InBatchJoinPartnersFireAsWhenSubmittedOneByOne) {
+  // An sa row and an sb row with equal k in one batch join once: the sb
+  // row's maintenance must not reach the sa row's fire pass, whatever the
+  // batch size (scalar order: maintain sa, fire sa, maintain sb, fire sb).
+  for (uint32_t batch : {1u, 64u}) {
+    TriggerManagerOptions options;
+    options.persistent_queue = false;
+    options.batch_size = batch;
+    Reset(options);
+    Schema schema({{"k", DataType::kInt}, {"id", DataType::kInt}});
+    auto sa = tman_->DefineStreamSource("sa", schema);
+    auto sb = tman_->DefineStreamSource("sb", schema);
+    ASSERT_TRUE(sa.ok() && sb.ok());
+    Exec("create trigger j from sa x, sb y when x.k = y.k "
+         "do raise event J(x.id, y.id)");
+    ASSERT_TRUE(tman_
+                    ->SubmitUpdateBatch(
+                        {UpdateDescriptor::Insert(
+                             *sa, Tuple({Value::Int(5), Value::Int(1)})),
+                         UpdateDescriptor::Insert(
+                             *sb, Tuple({Value::Int(5), Value::Int(2)}))})
+                    .ok());
+    ASSERT_TRUE(tman_->ProcessPending().ok());
+    EXPECT_EQ(tman_->events().num_raised(), 1u) << "batch_size " << batch;
+  }
+}
+
+TEST_F(TriggerManagerTest, AggregatesOfOneShapeShareIt) {
+  // durable_mixed's aggregate population: 100 triggers differing only in
+  // their selection constant form one shape, holding one slot each.
+  TriggerManagerOptions options;
+  options.persistent_queue = false;
+  Reset(options);
+  Schema schema({{"id", DataType::kInt},
+                 {"k", DataType::kInt},
+                 {"cat", DataType::kInt},
+                 {"g", DataType::kInt},
+                 {"v", DataType::kInt}});
+  auto orders = tman_->DefineStreamSource("orders", schema);
+  ASSERT_TRUE(orders.ok());
+  for (int i = 0; i < 100; ++i) {
+    Exec("create trigger a" + std::to_string(i) + " from orders r when r.v > " +
+         std::to_string(50 * i / 100) +
+         " group by r.g having count(r.id) >= 100 do raise event A(r.g, " +
+         std::to_string(i) + ")");
+  }
+  AggregateShapeStats st = tman_->stats().aggregates;
+  EXPECT_EQ(st.shapes, 1u);
+  EXPECT_EQ(st.triggers, 100u);
+  EXPECT_EQ(st.groups, 0u);
+  // Two groups, whatever the number of triggers holding them.
+  for (int64_t id = 0; id < 4; ++id) {
+    ASSERT_TRUE(tman_
+                    ->SubmitUpdate(UpdateDescriptor::Insert(
+                        *orders,
+                        Tuple({Value::Int(id), Value::Int(0), Value::Int(0),
+                               Value::Int(id % 2), Value::Int(99)})))
+                    .ok());
+  }
+  ASSERT_TRUE(tman_->ProcessPending().ok());
+  EXPECT_EQ(tman_->stats().aggregates.groups, 2u);
+  auto text = tman_->ExecuteCommand("stats");
+  ASSERT_TRUE(text.ok());
+  EXPECT_NE(text->find("aggregates: shapes=1 triggers=100 groups=2"),
+            std::string::npos)
+      << *text;
+  // Other aggregate calls make another shape; the last drop frees it.
+  Exec("create trigger big from orders r group by r.g "
+       "having sum(r.v) > 1000 do raise event B(r.g)");
+  EXPECT_EQ(tman_->stats().aggregates.shapes, 2u);
+  Exec("drop trigger big");
+  for (int i = 0; i < 100; ++i) Exec("drop trigger a" + std::to_string(i));
+  st = tman_->stats().aggregates;
+  EXPECT_EQ(st.shapes, 0u);
+  EXPECT_EQ(st.triggers, 0u);
+  EXPECT_EQ(st.groups, 0u);
+}
+
 TEST_F(TriggerManagerTest, SelectionTriggersFireWithoutTheCache) {
   // Selection triggers fire from their resident firing plans, so the
   // trigger cache's capacity cannot change what fires and no firing
